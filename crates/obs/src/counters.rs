@@ -1,10 +1,11 @@
 //! Runtime counters and profiling.
 //!
 //! The simulator's hot paths carry a handful of instrumentation points
-//! (scheduler passes, `earliest_start` probes, backfill attempts,
-//! warm-start prefix reuse). Each point costs one relaxed atomic load
-//! while profiling is off; inside a [`ProfileScope`] it additionally pays
-//! a relaxed increment (and, for pass timing, two monotonic clock reads).
+//! (scheduler passes, `earliest_start` probes, backfill attempts, skipped
+//! conservative re-planning, warm-start prefix reuse). Each point costs one
+//! relaxed atomic load while profiling is off; inside a [`ProfileScope`] it
+//! additionally pays a relaxed increment (and, for pass timing, two
+//! monotonic clock reads).
 //!
 //! Counters are **process-wide**: profiling a parallel sweep attributes
 //! every worker's activity to one report. Profile one run at a time when
@@ -179,6 +180,7 @@ static SCHED_PASSES: AtomicU64 = AtomicU64::new(0);
 static EARLIEST_START_CALLS: AtomicU64 = AtomicU64::new(0);
 static BACKFILL_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
 static BACKFILL_SUCCESSES: AtomicU64 = AtomicU64::new(0);
+static PLAN_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static WARM_START_HITS: AtomicU64 = AtomicU64::new(0);
 static WARM_START_MISSES: AtomicU64 = AtomicU64::new(0);
 static PASS_NS_SUM: AtomicU64 = AtomicU64::new(0);
@@ -236,6 +238,15 @@ pub fn record_backfill(attempts: u64, successes: u64) {
     if enabled() {
         BACKFILL_ATTEMPTS.fetch_add(attempts, Relaxed);
         BACKFILL_SUCCESSES.fetch_add(successes, Relaxed);
+    }
+}
+
+/// Counts one conservative re-planning pass skipped because the ledger
+/// was settled: nothing it planned against had freed capacity since.
+#[inline]
+pub fn record_plan_skipped() {
+    if enabled() {
+        PLAN_SKIPPED.fetch_add(1, Relaxed);
     }
 }
 
@@ -325,6 +336,8 @@ pub struct CounterSnapshot {
     pub backfill_attempts: u64,
     /// Candidates those walks actually started.
     pub backfill_successes: u64,
+    /// Conservative re-planning passes skipped on a settled ledger.
+    pub plan_skipped: u64,
     /// Prefix simulations served from the warm master.
     pub warm_start_hits: u64,
     /// Prefix simulations that fell back to a cold replay.
@@ -358,6 +371,7 @@ impl CounterSnapshot {
             earliest_start_calls: EARLIEST_START_CALLS.load(Relaxed),
             backfill_attempts: BACKFILL_ATTEMPTS.load(Relaxed),
             backfill_successes: BACKFILL_SUCCESSES.load(Relaxed),
+            plan_skipped: PLAN_SKIPPED.load(Relaxed),
             warm_start_hits: WARM_START_HITS.load(Relaxed),
             warm_start_misses: WARM_START_MISSES.load(Relaxed),
             sweep_cells_ok: SWEEP_CELLS_OK.load(Relaxed),
@@ -382,6 +396,7 @@ impl CounterSnapshot {
             backfill_successes: self
                 .backfill_successes
                 .saturating_sub(earlier.backfill_successes),
+            plan_skipped: self.plan_skipped.saturating_sub(earlier.plan_skipped),
             warm_start_hits: self.warm_start_hits.saturating_sub(earlier.warm_start_hits),
             warm_start_misses: self
                 .warm_start_misses
@@ -423,6 +438,7 @@ impl ProfileReport {
         merged.earliest_start_calls += other.counters.earliest_start_calls;
         merged.backfill_attempts += other.counters.backfill_attempts;
         merged.backfill_successes += other.counters.backfill_successes;
+        merged.plan_skipped += other.counters.plan_skipped;
         merged.warm_start_hits += other.counters.warm_start_hits;
         merged.warm_start_misses += other.counters.warm_start_misses;
         merged.sweep_cells_ok += other.counters.sweep_cells_ok;
@@ -471,6 +487,11 @@ impl fmt::Display for ProfileReport {
             f,
             "backfill walk        {} candidates examined, {} started ({rate:.1}% hit rate)",
             c.backfill_attempts, c.backfill_successes,
+        )?;
+        writeln!(
+            f,
+            "settled ledger       {} re-planning passes skipped",
+            c.plan_skipped
         )?;
         write!(
             f,
@@ -606,6 +627,7 @@ mod tests {
         let before = CounterSnapshot::capture();
         record_earliest_start();
         record_backfill(5, 2);
+        record_plan_skipped();
         record_warm_start(true);
         record_warm_start(false);
         let timer = pass_timer();
@@ -614,6 +636,7 @@ mod tests {
         assert!(d.earliest_start_calls >= 1);
         assert!(d.backfill_attempts >= 5);
         assert!(d.backfill_successes >= 2);
+        assert!(d.plan_skipped >= 1);
         assert!(d.warm_start_hits >= 1);
         assert!(d.warm_start_misses >= 1);
         assert!(d.sched_passes >= 1);
@@ -627,6 +650,7 @@ mod tests {
             earliest_start_calls: 20,
             backfill_attempts: 30,
             backfill_successes: 15,
+            plan_skipped: 7,
             warm_start_hits: 4,
             warm_start_misses: 1,
             ..CounterSnapshot::default()
@@ -639,6 +663,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("2.00 ms"));
         assert!(text.contains("50.0% hit rate"));
+        assert!(text.contains("7 re-planning passes skipped"));
         assert!(text.contains("4 hits / 1 cold replays"));
     }
 }

@@ -221,6 +221,7 @@ impl BackfillRule for ReservationDueRule {
                 }
             }
         }
+        counters::record_backfill(walk.len() as u64, starts.len() as u64);
         starts
     }
 

@@ -23,7 +23,7 @@
 use super::{EngineCtx, FAR_FUTURE};
 use crate::profile::Profile;
 use crate::state::QueuedJob;
-use fairsched_obs::TraceRecord;
+use fairsched_obs::{counters, TraceRecord};
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 use std::collections::{BTreeSet, HashMap};
@@ -201,6 +201,13 @@ struct Slot {
 /// [`Profile`] is a canonical delta encoding (order-independent, zero
 /// deltas dropped), the overlay is byte-identical to the profile the
 /// pre-refactor engine re-seeded from the whole queue at every event.
+///
+/// The static ledger also skips passes that provably cannot move a
+/// reservation. Once an `improve` moves nothing earlier, every job sits at
+/// its earliest start in that pass's profile, and later profiles only gain
+/// usage (arrivals, later `now`, overdue jobs re-clamped) *except* where a
+/// completion frees capacity. While no capacity is freed past `now`, the
+/// ledger stays *settled* and `improve` only clamps floaters.
 #[derive(Debug, Clone)]
 pub struct ConservativeLedger {
     dynamic: bool,
@@ -211,6 +218,15 @@ pub struct ConservativeLedger {
     /// Incremental timeline: Σ slot rectangles. Maintained only for the
     /// static ledger (the dynamic rebuild never reads it).
     planned: Profile,
+    /// The last full `improve` moved no reservation earlier, and nothing
+    /// but `freed_until` has invalidated that fixpoint since.
+    settled: bool,
+    /// Latest `now` a planning profile was built at (`improve` or arrival).
+    planned_at: Time,
+    /// `now + estimate` of each running job the ledger saw start.
+    running_ends: HashMap<JobId, Time>,
+    /// Capacity freed since the last full `improve` lies before this instant.
+    freed_until: Time,
 }
 
 /// An owned copy of a [`ConservativeLedger`]'s complete reservation state,
@@ -227,6 +243,10 @@ impl ConservativeLedger {
             slots: HashMap::new(),
             by_start: BTreeSet::new(),
             planned: Profile::new(0),
+            settled: false,
+            planned_at: 0,
+            running_ends: HashMap::new(),
+            freed_until: 0,
         }
     }
 
@@ -254,6 +274,7 @@ impl ConservativeLedger {
                 p.add(s.start, s.estimate, s.nodes);
             }
             self.planned = p;
+            self.settled = false;
         }
     }
 
@@ -290,6 +311,7 @@ impl ConservativeLedger {
     }
 
     fn clear_slots(&mut self) {
+        self.settled = false;
         self.slots.clear();
         self.by_start.clear();
         if !self.dynamic {
@@ -331,12 +353,7 @@ impl ConservativeLedger {
     /// queue (see [`ConservativeLedger::slots_cover`]).
     fn effective_profile(&self, ctx: &EngineCtx<'_>) -> Profile {
         let mut p = self.planned.clone();
-        let floaters: Vec<(Time, JobId)> = self
-            .by_start
-            .range(..(ctx.now, JobId(0)))
-            .copied()
-            .collect();
-        for (t, id) in floaters {
+        for (t, id) in self.floaters(ctx.now) {
             let s = self.slots[&id];
             p.remove(t, s.estimate, s.nodes);
             p.add(ctx.now, s.estimate, s.nodes);
@@ -396,11 +413,49 @@ impl ConservativeLedger {
         }
     }
 
+    /// Past-due reservations `(raw start, job)`: slots starting before `now`.
+    fn floaters(&self, now: Time) -> Vec<(Time, JobId)> {
+        self.by_start.range(..(now, JobId(0))).copied().collect()
+    }
+
+    /// Moves past-due reservations up to `now`, as a full `improve` would.
+    fn clamp_floaters(&mut self, now: Time) {
+        for (_, id) in self.floaters(now) {
+            let s = self.slots[&id];
+            self.set_slot(id, now, s.estimate, s.nodes);
+        }
+    }
+
     /// §5.3: each job, in priority order, tries to improve its reservation
     /// within the current profile; it never relinquishes a reservation for a
-    /// worse one.
+    /// worse one. A settled ledger with no capacity freed past `now` (and
+    /// no outages to plan around) skips the walk: it could not move anyone.
     fn improve(&mut self, ctx: &EngineCtx<'_>) {
-        let mut profile = if self.slots_cover(ctx.queue, None) {
+        let covered = self.slots_cover(ctx.queue, None);
+        if self.settled && covered && self.freed_until <= ctx.now && ctx.outages.is_empty() {
+            // Debug builds prove the skip: a full walk on a replica must
+            // leave every slot exactly where the clamp puts it.
+            #[cfg(debug_assertions)]
+            let replanned = {
+                let mut full = self.clone();
+                full.settled = false;
+                full.improve(&EngineCtx {
+                    trace: None,
+                    ..*ctx
+                });
+                full
+            };
+            self.clamp_floaters(ctx.now);
+            #[cfg(debug_assertions)]
+            assert!(
+                self.slots == replanned.slots && self.planned == replanned.planned,
+                "settled conservative ledger skipped a pass that moves a reservation at {}",
+                ctx.now
+            );
+            counters::record_plan_skipped();
+            return;
+        }
+        let mut profile = if covered {
             self.effective_profile(ctx)
         } else {
             // Hand-driven fallback: some queued job never saw `on_arrival`.
@@ -413,6 +468,8 @@ impl ConservativeLedger {
             }
             p
         };
+        // Clamping a floater to `now` is not a move: it frees nothing.
+        let mut moved = false;
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
             let old = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
@@ -421,6 +478,7 @@ impl ConservativeLedger {
                 Some(fresh) => fresh.min(old),
                 None => old,
             };
+            moved |= chosen < old;
             profile.add(chosen, job.estimate, job.nodes);
             if let Some(t) = ctx.trace {
                 if old >= FAR_FUTURE && chosen < FAR_FUTURE {
@@ -444,6 +502,9 @@ impl ConservativeLedger {
                 self.set_slot(job.id, chosen, job.estimate, job.nodes);
             }
         }
+        self.settled = covered && !moved;
+        self.planned_at = ctx.now;
+        self.freed_until = 0;
     }
 }
 
@@ -479,6 +540,7 @@ impl ReservationLedger for ConservativeLedger {
         let start = profile
             .earliest_start(ctx.now, job.nodes, job.estimate)
             .unwrap_or(FAR_FUTURE);
+        self.planned_at = self.planned_at.max(ctx.now);
         if let Some(t) = ctx.trace {
             if start < FAR_FUTURE {
                 t.emit(TraceRecord::ReservationMade {
@@ -493,6 +555,19 @@ impl ReservationLedger for ConservativeLedger {
 
     fn on_start(&mut self, id: JobId) {
         self.drop_slot(id);
+    }
+
+    fn on_complete(&mut self, id: JobId) {
+        // Freed capacity ends where the planning profiles had the job end:
+        // its estimate, or one second past the last planning instant for an
+        // overdue job (`RunningJob::estimated_end`'s clamp).
+        match self.running_ends.remove(&id) {
+            Some(end) => {
+                self.freed_until = self.freed_until.max(end.max(self.planned_at + 1));
+            }
+            // A job started behind the ledger's back: its plan is unknown.
+            None => self.settled = false,
+        }
     }
 
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {
@@ -517,6 +592,11 @@ impl ReservationLedger for ConservativeLedger {
         } else {
             Admission::Wait
         }
+    }
+
+    fn note_start(&mut self, ctx: &EngineCtx<'_>, i: usize) {
+        let job = &ctx.queue[i];
+        self.running_ends.insert(job.id, ctx.now + job.estimate);
     }
 
     fn reservation_of(&self, id: JobId) -> Option<Time> {
@@ -603,9 +683,13 @@ impl ReservationLedger for DepthLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FairshareConfig, QueueOrder};
+    use crate::config::{EngineKind, FairshareConfig, QueueOrder, SimConfig};
+    use crate::engine::{compose, ComposedEngine, Engine};
     use crate::fairshare::FairshareTracker;
+    use crate::simulator::Sim;
+    use crate::state::{NullObserver, RunningJob};
     use fairsched_workload::job::UserId;
+    use fairsched_workload::synthetic::CplantModel;
 
     #[test]
     fn reservation_math_for_aggressive_guard() {
@@ -692,5 +776,151 @@ mod tests {
         assert_eq!(ledger.reservation_of(JobId(1)), None);
         ledger.restore(snap);
         assert_eq!(ledger.reservation_of(JobId(1)), Some(0));
+    }
+
+    /// Job 1 runs the whole 10-node machine with a 100 s estimate and
+    /// overruns it; job 2 arrives at 150 and is reserved at 151, one second
+    /// past the overdue job's clamped end.
+    fn ledger_behind_an_overdue_job(
+        fs: &FairshareTracker,
+    ) -> (ConservativeLedger, [RunningJob; 1], [QueuedJob; 1]) {
+        let mut ledger = ConservativeLedger::new(false);
+        let first = [queued(1, 10, 100, 0)];
+        let c0 = ctx(0, 10, &first, fs);
+        ledger.on_arrival(&first[0], &c0);
+        ledger.begin_pass(&c0, None);
+        ledger.note_start(&c0, 0);
+        ledger.on_start(JobId(1));
+        let running = [RunningJob {
+            id: JobId(1),
+            user: UserId(1),
+            nodes: 10,
+            start: 0,
+            estimate: 100,
+            scheduled_end: 400,
+        }];
+        let second = [queued(2, 10, 50, 150)];
+        let c = EngineCtx {
+            running: &running,
+            free_nodes: 0,
+            ..ctx(150, 10, &second, fs)
+        };
+        ledger.on_arrival(&second[0], &c);
+        assert_eq!(ledger.reservation_of(JobId(2)), Some(151));
+        (ledger, running, second)
+    }
+
+    #[test]
+    fn an_overdue_completion_at_the_planning_instant_unsettles_the_ledger() {
+        let fs = FairshareTracker::new(FairshareConfig::default());
+        let (mut ledger, running, queue) = ledger_behind_an_overdue_job(&fs);
+        // While the overdue job runs, nothing can move: the pass skips.
+        let busy = EngineCtx {
+            running: &running,
+            free_nodes: 0,
+            ..ctx(150, 10, &queue, &fs)
+        };
+        ledger.begin_pass(&busy, None);
+        assert!(ledger.settled);
+        assert_eq!(ledger.reservation_of(JobId(2)), Some(151));
+        // The overdue job is killed at the same instant. Its capacity was
+        // planned until 151 (`now + 1`), not its long-past estimate of 100,
+        // so the next pass must re-plan and pull job 2 forward to now.
+        ledger.on_complete(JobId(1));
+        assert_eq!(ledger.freed_until, 151);
+        ledger.begin_pass(&ctx(150, 10, &queue, &fs), None);
+        assert_eq!(ledger.reservation_of(JobId(2)), Some(150));
+        assert!(
+            !ledger.settled,
+            "a pass that moved a reservation is not settled"
+        );
+    }
+
+    #[test]
+    fn snapshot_restore_round_trips_the_settled_state_and_watermark() {
+        let fs = FairshareTracker::new(FairshareConfig::default());
+        let (mut ledger, running, queue) = ledger_behind_an_overdue_job(&fs);
+        let busy = EngineCtx {
+            running: &running,
+            free_nodes: 0,
+            ..ctx(150, 10, &queue, &fs)
+        };
+        ledger.begin_pass(&busy, None);
+        ledger.on_complete(JobId(1));
+        let snap = ledger.snapshot();
+        // Drain the live ledger: the completion is consumed by a full pass
+        // and the queue empties.
+        ledger.begin_pass(&ctx(150, 10, &queue, &fs), None);
+        ledger.begin_pass(&ctx(150, 10, &[], &fs), None);
+        assert!(!ledger.settled);
+        ledger.restore(snap);
+        assert!(ledger.settled);
+        assert_eq!(ledger.planned_at, 150);
+        assert_eq!(ledger.freed_until, 151);
+        assert!(ledger.running_ends.is_empty());
+        // The restored ledger replays the same decision.
+        ledger.begin_pass(&ctx(150, 10, &queue, &fs), None);
+        assert_eq!(ledger.reservation_of(JobId(2)), Some(150));
+    }
+
+    /// Counts the passes that reach the conservative ledger's `improve`.
+    struct CountImproves {
+        inner: ComposedEngine,
+        improves: u64,
+    }
+
+    impl Engine for CountImproves {
+        fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
+            self.inner.on_arrival(job, ctx);
+        }
+        fn on_start(&mut self, id: JobId) {
+            self.inner.on_start(id);
+        }
+        fn on_complete(&mut self, id: JobId) {
+            self.inner.on_complete(id);
+        }
+        fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId> {
+            if !ctx.queue.is_empty() {
+                self.improves += 1;
+            }
+            self.inner.select_starts(ctx)
+        }
+        fn fork(&self) -> Box<dyn Engine> {
+            self.inner.fork()
+        }
+    }
+
+    #[test]
+    fn exact_estimates_settle_nearly_every_conservative_pass() {
+        let mut trace = CplantModel::new(3)
+            .with_scale(0.05)
+            .with_nodes(512)
+            .generate();
+        for job in &mut trace {
+            job.estimate = job.runtime;
+        }
+        let cfg = SimConfig {
+            nodes: 512,
+            engine: EngineKind::Conservative { dynamic: false },
+            ..SimConfig::default()
+        };
+        let mut engine = CountImproves {
+            inner: compose(cfg.engine),
+            improves: 0,
+        };
+        let mut sim = Sim::new(&cfg, &trace);
+        let _scope = counters::ProfileScope::enter();
+        let before = counters::CounterSnapshot::capture();
+        while sim.step(&mut engine, &mut NullObserver).unwrap() {}
+        let skipped = counters::CounterSnapshot::capture()
+            .since(&before)
+            .plan_skipped;
+        // Concurrent profiled tests can only add to the process-wide count.
+        assert!(engine.improves > 1000, "{} passes", engine.improves);
+        assert!(
+            skipped * 10 >= engine.improves * 9,
+            "skipped {skipped} of {} improve passes",
+            engine.improves
+        );
     }
 }

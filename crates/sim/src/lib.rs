@@ -79,7 +79,5 @@ pub use simulator::{
     simulate, CancelToken, JobRecord, OriginalOutcome, PlacementStats, QueueStats, Schedule,
     SimError, SimOptions,
 };
-#[allow(deprecated)]
-pub use simulator::{try_simulate, try_simulate_traced, try_simulate_with};
 pub use state::{ArrivalView, NullObserver, Observer, ObserverSet, QueuedJob, RunningJob};
 pub use step::{Effect, SimEvent, StepStatus, SteppedSim};

@@ -1,7 +1,7 @@
 //! The event-driven simulator: the paper's "locally developed event based
 //! simulator" (§3.1), rebuilt.
 //!
-//! [`try_simulate`] replays a trace under a [`SimConfig`] and produces a
+//! [`simulate`] replays a trace under a [`SimConfig`] and produces a
 //! [`Schedule`]: one record per submission (chunk, when runtime limits are
 //! on), plus the exact loss-of-capacity and utilization integrals.
 //! Trace/config validation and invariant violations come back as a typed
@@ -560,8 +560,7 @@ pub(crate) struct Sim {
 
 /// Everything optional about one simulation run, in one builder.
 ///
-/// The historical `try_simulate` / `try_simulate_traced` /
-/// `try_simulate_with` combinatorial surface collapses onto
+/// Every batch run goes through
 /// [`simulate`]`(trace, cfg, observer, SimOptions)`: tracing, cooperative
 /// cancellation, a fault-model override, and pass profiling are all knobs
 /// on this builder instead of positional `Option` parameters.
@@ -708,62 +707,6 @@ pub fn simulate(
     let schedule = core.finish()?;
     observer.on_finish(&schedule);
     Ok(schedule)
-}
-
-/// The historical plain entry point; use
-/// [`simulate`]`(trace, cfg, observer, SimOptions::new())` instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate(trace, cfg, observer, SimOptions::new())"
-)]
-pub fn try_simulate(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-) -> Result<Schedule, SimError> {
-    simulate(trace, cfg, observer, SimOptions::new())
-}
-
-/// The historical traced entry point; use
-/// [`simulate`] with [`SimOptions::trace`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate with SimOptions::new().trace(sink)"
-)]
-pub fn try_simulate_traced(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<Schedule, SimError> {
-    let mut opts = SimOptions::new();
-    if let Some(sink) = sink {
-        opts = opts.trace(sink);
-    }
-    simulate(trace, cfg, observer, opts)
-}
-
-/// The historical fully-armed entry point; use
-/// [`simulate`] with [`SimOptions::trace`] + [`SimOptions::cancel`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate with SimOptions::new().trace(sink).cancel(token)"
-)]
-pub fn try_simulate_with(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-    sink: Option<&mut dyn TraceSink>,
-    cancel: Option<CancelToken>,
-) -> Result<Schedule, SimError> {
-    let mut opts = SimOptions::new();
-    if let Some(sink) = sink {
-        opts = opts.trace(sink);
-    }
-    if let Some(cancel) = cancel {
-        opts = opts.cancel(cancel);
-    }
-    simulate(trace, cfg, observer, opts)
 }
 
 pub(crate) fn make_engine_for(cfg: &SimConfig) -> Box<dyn Engine> {
@@ -1528,23 +1471,6 @@ mod tests {
         assert_eq!(plain.records, guarded.records);
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_route_through_the_builder() {
-        let trace = [job(1, 1, 0, 1, 100, 100), job(2, 2, 5, 4, 50, 50)];
-        let c = cfg(10, EngineKind::NoGuarantee);
-        let plain = run(&trace, &c);
-        assert_eq!(try_simulate(&trace, &c, &mut NullObserver).unwrap(), plain);
-        assert_eq!(
-            try_simulate_traced(&trace, &c, &mut NullObserver, None).unwrap(),
-            plain
-        );
-        assert_eq!(
-            try_simulate_with(&trace, &c, &mut NullObserver, None, None).unwrap(),
-            plain
-        );
-    }
-
     /// Counts every observer hook and remembers what it saw.
     #[derive(Default)]
     struct CountingObserver {
@@ -2100,7 +2026,7 @@ mod tests {
         }
 
         #[test]
-        fn try_simulate_reports_typed_errors() {
+        fn simulate_reports_typed_errors() {
             let wide = [job(1, 1, 0, 20, 100, 100)];
             let err = crate::simulator::simulate(
                 &wide,
