@@ -10,7 +10,7 @@
 //! fairsched profile  --trace trace.swf --policy cons.nomax
 //! fairsched explain  --trace trace.swf --policy cons.nomax [--job 17]
 //! fairsched sweep    --journal s.jsonl --seeds 1,2,3 [--grid A,B] [--resume]
-//! fairsched serve    [--port N] [--policy ID] [--speedup X | --manual]
+//! fairsched serve    [--port N] [--policy ID] [--speedup X | --manual] [...fairschedd flags]
 //! fairsched submit   --addr HOST:PORT --id N --user N --submit T --nodes N --runtime T
 //! fairsched status   --addr HOST:PORT
 //! fairsched watch    --addr HOST:PORT [--interval-ms N] [--count N]
@@ -32,9 +32,8 @@ use fairsched_metrics::explain::{explain_wait, worst_miss};
 use fairsched_metrics::fairness::peruser::heavy_vs_light_miss;
 use fairsched_obs::registry::{parse_exposition, quantile_from_buckets};
 use fairsched_obs::{log, DecisionTracer};
-use fairsched_served::clock::ClockMode;
-use fairsched_served::session::SessionConfig;
-use fairsched_served::{Client, Daemon, SubmitRequest};
+use fairsched_served::daemon::{serve, ServeArgs};
+use fairsched_served::{Client, SubmitRequest};
 use fairsched_sim::{FaultConfig, ResiliencePolicy};
 use fairsched_workload::job::JobId;
 use fairsched_workload::swf::{read_swf_file, write_swf_file};
@@ -142,22 +141,8 @@ pub enum Command {
     },
     /// Run `fairschedd`: the online scheduling daemon, in the foreground
     /// until `POST /v1/shutdown` (or `fairsched submit/status` clients
-    /// drive it).
-    Serve {
-        /// TCP port on 127.0.0.1 (0 = OS-assigned).
-        port: u16,
-        /// Write the resolved port here, for scripts using port 0.
-        port_file: Option<String>,
-        /// Policy id the daemon schedules under.
-        policy: String,
-        /// Machine size.
-        nodes: u32,
-        /// How simulated time advances.
-        clock: ClockMode,
-        /// Whether to emit trace effects (needed for `/v1/trace` and live
-        /// explain).
-        traced: bool,
-    },
+    /// drive it). Takes exactly `fairschedd`'s flags.
+    Serve(ServeArgs),
     /// Submit one job to a running daemon.
     Submit {
         /// Daemon address, e.g. `127.0.0.1:7070`.
@@ -212,7 +197,9 @@ USAGE:
                      [--scale F] [--nodes N] [--timeout-per-cell SECONDS]
                      [--max-retries N] [--threads N] [--resume] [FAULTS]
   fairsched serve    [--port N] [--port-file FILE] [--policy ID] [--nodes N]
-                     [--speedup X | --manual] [--no-trace]
+                     [--speedup X | --manual] [--no-trace] [--id-floor N]
+                     [--workers N] [--max-connections N]
+                     [--journal-dir DIR] [--recover]
   fairsched submit   --addr HOST:PORT --id N --user N --submit T --nodes N
                      --runtime T [--estimate T] [--group N]
   fairsched status   --addr HOST:PORT
@@ -229,7 +216,11 @@ SERVE (the fairschedd online scheduling daemon):
   GET /metrics exposes Prometheus text; GET /v1/fairness a live JSON
   fairness snapshot. `fairsched watch` polls both and renders a frame
   every --interval-ms (default 1000), stopping after --count frames
-  (default 0: watch until the session seals).
+  (default 0: watch until the session seals). The flags are fairschedd's:
+  --workers N bounds requests in a handler at once (default 8),
+  --max-connections N caps open connections (default 1024; over the cap
+  answers 503), --journal-dir DIR journals every session and --recover
+  replays those journals on start.
 
 Fault flags apply to simulate, compare, profile, explain, and sweep;
 other subcommands reject them. `--quiet` anywhere (or FAIRSCHED_QUIET=1)
@@ -532,38 +523,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 faults: parse_faults()?,
             })
         }
-        "serve" => {
-            check_flags_with_bools(
-                &["--port", "--port-file", "--policy", "--nodes", "--speedup"],
-                &["--manual", "--no-trace"],
-            )?;
-            let manual = rest.iter().any(|a| a.as_str() == "--manual");
-            let speedup = parse_f64("--speedup", 1.0)?;
-            if !(speedup.is_finite() && speedup > 0.0) {
-                return Err(UsageError(format!(
-                    "--speedup must be positive, got {speedup}"
-                )));
-            }
-            if manual && flag("--speedup")?.is_some() {
-                return Err(UsageError(
-                    "--manual and --speedup are mutually exclusive".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                port: parse_u64("--port", 0)?
-                    .try_into()
-                    .map_err(|_| UsageError("--port must fit a 16-bit port number".into()))?,
-                port_file: flag("--port-file")?.map(str::to_string),
-                policy: flag("--policy")?.unwrap_or("easy.nomax").to_string(),
-                nodes: parse_u32("--nodes", DEFAULT_NODES)?,
-                clock: if manual {
-                    ClockMode::Manual
-                } else {
-                    ClockMode::Realtime { speedup }
-                },
-                traced: !rest.iter().any(|a| a.as_str() == "--no-trace"),
-            })
-        }
+        "serve" => ServeArgs::parse(&rest)
+            .map(Command::Serve)
+            .map_err(UsageError),
         "submit" => {
             check_flags(&[
                 "--addr",
@@ -959,46 +921,8 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
             writeln!(out, "journal: {journal}")?;
             Ok(out)
         }
-        Command::Serve {
-            port,
-            port_file,
-            policy,
-            nodes,
-            clock,
-            traced,
-        } => {
-            let mut daemon = Daemon::start(
-                &format!("127.0.0.1:{port}"),
-                SessionConfig {
-                    policy,
-                    nodes,
-                    clock,
-                    traced,
-                    id_floor: 0,
-                    ..SessionConfig::default()
-                },
-            )?;
-            let addr = daemon.addr();
-            eprintln!("fairschedd listening on {addr}");
-            if let Some(path) = &port_file {
-                std::fs::write(path, format!("{}\n", addr.port()))?;
-            }
-            // Realtime clocks need a heartbeat: events only fire when the
-            // daemon grants time, so tick until shutdown (or seal).
-            if let ClockMode::Realtime { .. } = clock {
-                let session = std::sync::Arc::clone(daemon.session());
-                std::thread::spawn(move || loop {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    if session.tick().is_err() {
-                        break;
-                    }
-                });
-            }
-            while !daemon.stopped() {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            let status = daemon.session().status();
-            daemon.shutdown();
+        Command::Serve(args) => {
+            let status = serve(args)?;
             Ok(format!(
                 "fairschedd stopped: {} submissions accepted, {} completed, \
                  final simulated time t={}\n",
@@ -1196,6 +1120,7 @@ fn load_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairsched_served::clock::ClockMode;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1714,41 +1639,37 @@ mod tests {
     #[test]
     fn parses_serve_submit_and_status() {
         match parse(&args("serve")).unwrap() {
-            Command::Serve {
-                port,
-                policy,
-                clock,
-                traced,
-                ..
-            } => {
-                assert_eq!(port, 0);
-                assert_eq!(policy, "easy.nomax");
-                assert_eq!(clock, ClockMode::Realtime { speedup: 1.0 });
-                assert!(traced);
+            Command::Serve(a) => {
+                assert_eq!(a.port, 0);
+                assert_eq!(a.daemon.session.policy, "easy.nomax");
+                assert_eq!(a.daemon.session.clock, ClockMode::Realtime { speedup: 1.0 });
+                assert!(a.daemon.session.traced);
             }
             other => panic!("parsed {other:?}"),
         }
         match parse(&args(
-            "serve --port 7070 --policy cons.nomax --nodes 256 --manual --no-trace",
+            "serve --port 7070 --policy cons.nomax --nodes 256 --manual --no-trace \
+             --workers 3 --max-connections 9 --journal-dir j --recover --id-floor 5",
         ))
         .unwrap()
         {
-            Command::Serve {
-                port,
-                policy,
-                nodes,
-                clock,
-                traced,
-                ..
-            } => {
-                assert_eq!(port, 7070);
-                assert_eq!(policy, "cons.nomax");
-                assert_eq!(nodes, 256);
-                assert_eq!(clock, ClockMode::Manual);
-                assert!(!traced);
+            Command::Serve(a) => {
+                assert_eq!(a.port, 7070);
+                assert_eq!(a.daemon.session.policy, "cons.nomax");
+                assert_eq!(a.daemon.session.nodes, 256);
+                assert_eq!(a.daemon.session.clock, ClockMode::Manual);
+                assert!(!a.daemon.session.traced);
+                // fairschedd's flags are serve's flags.
+                assert_eq!(a.daemon.session.id_floor, 5);
+                assert_eq!((a.daemon.workers, a.daemon.max_connections), (3, 9));
+                assert!(a.daemon.recover);
             }
             other => panic!("parsed {other:?}"),
         }
+        assert!(parse(&args("serve --recover"))
+            .unwrap_err()
+            .0
+            .contains("--journal-dir"));
         assert!(parse(&args("serve --manual --speedup 100"))
             .unwrap_err()
             .0
@@ -1911,14 +1832,11 @@ served_journal_batches 9
         let port_file = dir.join("port");
         let _ = std::fs::remove_file(&port_file);
 
-        let serve = Command::Serve {
-            port: 0,
-            port_file: Some(port_file.to_str().unwrap().into()),
-            policy: "easy.nomax".into(),
-            nodes: 64,
-            clock: ClockMode::Manual,
-            traced: true,
-        };
+        let serve = parse(&args(&format!(
+            "serve --port 0 --port-file {} --policy easy.nomax --nodes 64 --manual",
+            port_file.display()
+        )))
+        .unwrap();
         let server = std::thread::spawn(move || execute(serve).unwrap());
 
         // Wait for the daemon to publish its port.

@@ -7,7 +7,7 @@
 //!                 [--scrape-ms N] [--port-file PATH] [--out BENCH_9.json]
 //! ```
 //!
-//! Runs the same epoch-barriered replay **twice** against fresh daemons:
+//! Runs the same epoch-fenced replay **twice** against fresh daemons:
 //! once bare (no scraper — the throughput baseline), then once with a
 //! scraper thread polling `GET /metrics` every `--scrape-ms` for the
 //! whole run, the way a Prometheus agent would. Both phases must
@@ -26,9 +26,9 @@
 //! route label).
 //!
 //! Each phase replays the workload through `--submitters` concurrent
-//! keep-alive HTTP clients under manual clocks with epoch barriers:
+//! keep-alive HTTP clients under manual clocks with epoch fences:
 //! every submitter posts its share of an epoch's jobs, all threads meet
-//! at a barrier, then the coordinator grants every session simulated
+//! at the epoch gate, then the coordinator grants every session simulated
 //! time up to just below the next epoch — so no submitter can ever race
 //! a clock into a non-monotonic rejection, and the grant order keeps
 //! each session byte-equivalent to the batch simulation of its share,
@@ -37,8 +37,11 @@
 //! `--port-file` (scrape-on phase only) publishes the daemon's port so
 //! an external probe — the CI smoke check — can curl `/metrics` mid-run.
 //!
-//! Exits nonzero on any lost submission, schedule divergence from batch,
-//! empty trace stream, dropped trace lines, or unclean shutdown.
+//! Exits nonzero on any lost submission (reporting how many were lost),
+//! schedule divergence from batch, empty trace stream, dropped trace
+//! lines, or unclean shutdown. No wait is unbounded: the epoch gate gives
+//! up after [`EPOCH_TIMEOUT`], and a submitter whose request fails leaves
+//! the gate instead of stranding the others.
 
 use fairsched_core::policy::PolicySpec;
 use fairsched_obs::registry::{parse_exposition, quantile_from_buckets, Sample};
@@ -52,8 +55,11 @@ use fairsched_workload::time::Time;
 use fairsched_workload::CplantModel;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Longest anyone waits at the epoch gate before the run is abandoned.
+const EPOCH_TIMEOUT: Duration = Duration::from_secs(120);
 
 struct Args {
     submitters: usize,
@@ -152,6 +158,101 @@ fn latency_buckets(samples: &[Sample], route: &str) -> Vec<(f64, u64)> {
     buckets
 }
 
+/// The epoch fence between the submitters and the coordinator: every
+/// member submits its share of epoch `k` and arrives; once all have, the
+/// coordinator grants time and opens epoch `k + 1`. Unlike a `Barrier`,
+/// no wait outlasts [`EPOCH_TIMEOUT`], and a failed submitter leaves.
+struct EpochGate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+struct GateState {
+    /// Epochs opened so far: members may work on epoch `open - 1`.
+    open: usize,
+    /// Members done with the open epoch.
+    arrived: usize,
+    /// Submitters still taking part.
+    members: usize,
+    /// Someone gave up; every waiter returns an error.
+    aborted: bool,
+}
+
+impl EpochGate {
+    fn new(members: usize) -> EpochGate {
+        EpochGate {
+            state: Mutex::new(GateState {
+                open: 1,
+                arrived: 0,
+                members,
+                aborted: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Waits until `done` holds; a timeout aborts the gate for everyone.
+    fn wait_for(
+        &self,
+        what: &str,
+        done: impl Fn(&GateState) -> bool,
+    ) -> Result<MutexGuard<'_, GateState>, String> {
+        let (mut state, waited) = self
+            .changed
+            .wait_timeout_while(self.lock(), EPOCH_TIMEOUT, |s| !s.aborted && !done(s))
+            .unwrap_or_else(|e| e.into_inner());
+        if state.aborted {
+            return Err(format!("epoch gate aborted while waiting for {what}"));
+        }
+        if waited.timed_out() {
+            state.aborted = true;
+            self.changed.notify_all();
+            return Err(format!(
+                "timed out after {EPOCH_TIMEOUT:?} waiting for {what}"
+            ));
+        }
+        Ok(state)
+    }
+
+    /// A submitter is done with epoch `k`; blocks until epoch `k + 1`
+    /// opens.
+    fn arrive(&self, k: usize) -> Result<(), String> {
+        self.lock().arrived += 1;
+        self.changed.notify_all();
+        self.wait_for(&format!("epoch {} to open", k + 1), |s| s.open > k + 1)
+            .map(drop)
+    }
+
+    /// A submitter that failed stops taking part.
+    fn leave(&self) {
+        self.lock().members -= 1;
+        self.changed.notify_all();
+    }
+
+    /// The coordinator waits for every member to finish the open epoch.
+    fn collect(&self) -> Result<(), String> {
+        self.wait_for("submitters to finish the epoch", |s| s.arrived >= s.members)
+            .map(drop)
+    }
+
+    /// The coordinator granted time: the next epoch opens.
+    fn open_next(&self) {
+        let mut state = self.lock();
+        state.arrived = 0;
+        state.open += 1;
+        self.changed.notify_all();
+    }
+
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.changed.notify_all();
+    }
+}
+
 /// Session `s`'s client: the default session for index 0, a named one
 /// otherwise.
 fn session_client(base: &Client, s: usize) -> Client {
@@ -162,7 +263,12 @@ fn session_client(base: &Client, s: usize) -> Client {
     }
 }
 
-fn run_phase(args: &Args, shares: &[Vec<Job>], batches: &[Schedule], scrape: bool) -> PhaseOutcome {
+fn run_phase(
+    args: &Args,
+    shares: &[Vec<Job>],
+    batches: &[Schedule],
+    scrape: bool,
+) -> Result<PhaseOutcome, String> {
     let total_jobs: usize = shares.iter().map(Vec::len).sum();
     let mut daemon = Daemon::start(
         "127.0.0.1:0",
@@ -197,7 +303,7 @@ fn run_phase(args: &Args, shares: &[Vec<Job>], batches: &[Schedule], scrape: boo
 
     // Epoch boundaries over [0, max_submit] across ALL sessions: epoch k
     // owns submissions in [bounds[k], bounds[k+1]). After an epoch's
-    // barrier the coordinator grants every session bounds[k+1] - 1 —
+    // gate the coordinator grants every session bounds[k+1] - 1 —
     // strictly below every later submission, so arrivals are always
     // inserted before their timestamp is reachable (the property that
     // makes each online session byte-equal to its batch reference).
@@ -259,34 +365,33 @@ fn run_phase(args: &Args, shares: &[Vec<Job>], batches: &[Schedule], scrape: boo
         })
         .collect();
 
-    let barrier = Arc::new(Barrier::new(args.submitters + 1));
+    let gate = Arc::new(EpochGate::new(args.submitters));
     let bounds = Arc::new(bounds);
     let started = Instant::now();
     let workers: Vec<_> = worker_shares
         .into_iter()
         .map(|(s, share)| {
-            let barrier = Arc::clone(&barrier);
+            let gate = Arc::clone(&gate);
             let bounds = Arc::clone(&bounds);
             let client = session_client(&coordinator, s);
-            std::thread::spawn(move || {
+            std::thread::spawn(move || -> (usize, Option<String>) {
                 let mut accepted = 0usize;
-                for window in bounds.windows(2) {
+                for (k, window) in bounds.windows(2).enumerate() {
                     for req in share
                         .iter()
                         .filter(|r| r.submit >= window[0] && r.submit < window[1])
                     {
-                        client.submit(req).unwrap_or_else(|e| {
-                            panic!("lost submission {}: {e}", req.id);
-                        });
+                        if let Err(e) = client.submit(req) {
+                            gate.leave();
+                            return (accepted, Some(format!("submission {}: {e}", req.id)));
+                        }
                         accepted += 1;
                     }
-                    // Everyone done with this epoch's submissions…
-                    barrier.wait();
-                    // …coordinator grants time…
-                    barrier.wait();
-                    // …next epoch.
+                    if let Err(e) = gate.arrive(k) {
+                        return (accepted, Some(e));
+                    }
                 }
-                accepted
+                (accepted, None)
             })
         })
         .collect();
@@ -294,24 +399,37 @@ fn run_phase(args: &Args, shares: &[Vec<Job>], batches: &[Schedule], scrape: boo
     let session_clients: Vec<Client> = (0..args.sessions)
         .map(|s| session_client(&coordinator, s))
         .collect();
-    for window in bounds.windows(2) {
-        barrier.wait();
-        for client in &session_clients {
-            client
-                .advance(window[1].saturating_sub(1))
-                .expect("advance");
+    let mut coordinator_error = None;
+    'epochs: for window in bounds.windows(2) {
+        if let Err(e) = gate.collect() {
+            coordinator_error = Some(e);
+            break;
         }
-        barrier.wait();
+        for client in &session_clients {
+            if let Err(e) = client.advance(window[1].saturating_sub(1)) {
+                coordinator_error = Some(format!("advance: {e}"));
+                gate.abort();
+                break 'epochs;
+            }
+        }
+        gate.open_next();
     }
 
     let mut accepted_total = 0usize;
+    let mut errors: Vec<String> = coordinator_error.into_iter().collect();
     for worker in workers {
-        accepted_total += worker.join().expect("submitter panicked");
+        let (accepted, error) = worker.join().expect("submitter thread");
+        accepted_total += accepted;
+        errors.extend(error);
     }
-    assert_eq!(
-        accepted_total, total_jobs,
-        "lost submissions: {accepted_total} accepted of {total_jobs}"
-    );
+    if accepted_total != total_jobs || !errors.is_empty() {
+        return Err(format!(
+            "lost {} of {total_jobs} submissions; {} error(s), first: {}",
+            total_jobs - accepted_total,
+            errors.len(),
+            errors.first().map_or("none", String::as_str)
+        ));
+    }
 
     // Per-session: accepted counts, seal, and byte-equivalence with the
     // batch reference for that session's share.
@@ -374,13 +492,13 @@ fn run_phase(args: &Args, shares: &[Vec<Job>], batches: &[Schedule], scrape: boo
         "daemon dropped trace lines on a healthy reader"
     );
 
-    PhaseOutcome {
+    Ok(PhaseOutcome {
         wall,
         steps,
         scrapes,
         trace_lines: trace_lines.len(),
         final_metrics,
-    }
+    })
 }
 
 fn main() {
@@ -426,8 +544,14 @@ fn main() {
         })
         .collect();
 
-    let baseline = run_phase(&args, &shares, &batches, false);
-    let scraped = run_phase(&args, &shares, &batches, true);
+    let run = |scrape| {
+        run_phase(&args, &shares, &batches, scrape).unwrap_or_else(|e| {
+            eprintln!("served_loadtest: {e}");
+            std::process::exit(1);
+        })
+    };
+    let baseline = run(false);
+    let scraped = run(true);
     assert!(scraped.scrapes > 0, "scrape phase never scraped");
 
     let exposition = scraped

@@ -1,7 +1,8 @@
-//! `fairschedd`'s serving loop: a TCP listener feeding a bounded accept
-//! queue, a fixed worker pool serving keep-alive connections, and the
-//! route table mapping HTTP requests onto [`Session`] calls through the
-//! [`SessionRegistry`].
+//! `fairschedd`'s serving loop and entry point: a TCP listener handing
+//! each connection to its own thread, the route table mapping HTTP
+//! requests onto [`Session`] calls through the [`SessionRegistry`], and
+//! the command line shared by `fairschedd` and `fairsched serve`
+//! ([`ServeArgs`], [`serve`]).
 //!
 //! Routes (all under `/v1`; every session route also exists under
 //! `/v1/sessions/{name}/...`, the unprefixed form aliases the default
@@ -27,15 +28,23 @@
 //!
 //! ## Threading model
 //!
-//! The accept thread only enqueues connections; [`DaemonConfig::workers`]
-//! pool threads do all serving. A worker popping a connection first
-//! checks readiness without blocking (buffered bytes, else a
-//! non-blocking `peek`): idle keep-alive connections are requeued rather
-//! than parked on, so a thousand mostly-quiet submitters cannot pin the
-//! pool. When the accept queue is full the daemon answers `503` and
-//! closes — backpressure is explicit, never an unbounded thread spawn.
-//! Trace streams live as long as the session, so they are handed to
-//! detached threads instead of occupying a pool worker.
+//! The accept thread spawns one thread per connection, which reads,
+//! routes and answers requests in a blocking loop until the peer closes,
+//! asks for `Connection: close`, or errors. An idle keep-alive
+//! connection costs a parked thread and no CPU. Two bounds keep overload
+//! explicit:
+//!
+//! * [`DaemonConfig::workers`] permits bound how many requests run a
+//!   handler at once; a request read while every permit is held waits
+//!   for one.
+//! * [`DaemonConfig::max_connections`] caps open connections. A
+//!   connection over the cap gets its request read and answered
+//!   `503 {"error":"overloaded"}` with `Connection: close` — a typed
+//!   answer the client can retry on, never a reset.
+//!
+//! A `/v1/trace` stream keeps its connection's thread until the session
+//! seals. [`Daemon::shutdown`] ends every other connection's reads, lets
+//! in-flight responses go out, and joins the threads.
 //!
 //! The daemon is deterministic where it matters: all scheduling state
 //! sits behind each session's mutex, so any interleaving of concurrent
@@ -43,7 +52,8 @@
 //! monotonic-submission rule guarantees every such order yields the
 //! same schedule as the equivalent batch run.
 
-use crate::api::{ServeError, SessionSpec};
+use crate::api::{ServeError, SessionSpec, StatusResponse};
+use crate::clock::ClockMode;
 use crate::http::{read_request, write_response, write_stream_header, Request};
 use crate::json::{parse, Json};
 use crate::metrics::{route_label, ServiceMetrics};
@@ -51,27 +61,27 @@ use crate::registry::SessionRegistry;
 use crate::session::{Session, SessionConfig};
 use crate::{api, SubmitRequest};
 use fairsched_workload::job::JobId;
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the daemon runs: the default session's configuration plus the
 /// serving and durability knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Configuration for the default session, and the template sessions
     /// created over the API inherit from.
     pub session: SessionConfig,
-    /// Pool threads serving requests.
+    /// Requests allowed inside a handler at once; further requests wait
+    /// for a permit.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before the daemon
-    /// answers `503`.
-    pub queue_capacity: usize,
+    /// Open connections served at once; a connection over the cap is
+    /// answered `503` and closed.
+    pub max_connections: usize,
     /// Where per-session durability journals live; `None` disables
     /// journaling.
     pub journal_dir: Option<PathBuf>,
@@ -81,13 +91,13 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Serving defaults around a session configuration: 8 workers, a
-    /// 1024-connection queue, no journaling.
+    /// Serving defaults around a session configuration: 8 handler
+    /// permits, 1024 connections, no journaling.
     pub fn new(session: SessionConfig) -> DaemonConfig {
         DaemonConfig {
             session,
             workers: 8,
-            queue_capacity: 1024,
+            max_connections: 1024,
             journal_dir: None,
             recover: false,
         }
@@ -100,95 +110,131 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One accepted connection: the write half plus its buffered reader
-/// (same socket, two fds).
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+/// How often the heartbeat ticks realtime sessions.
+const HEARTBEAT: Duration = Duration::from_millis(20);
+
+/// How long an over-cap connection gets to send the request it is
+/// answered `503` for.
+const SHED_READ_TIMEOUT: Duration = Duration::from_secs(1);
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The bounded hand-off between the accept thread and the worker pool.
-struct ConnQueue {
-    queue: Mutex<VecDeque<Conn>>,
-    available: Condvar,
-    capacity: usize,
-    busy: AtomicU64,
+/// A one-way stop flag that threads can wait on.
+#[derive(Default)]
+struct StopSignal {
+    set: Mutex<bool>,
+    changed: Condvar,
 }
 
-impl ConnQueue {
-    fn new(capacity: usize) -> ConnQueue {
-        ConnQueue {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-            busy: AtomicU64::new(0),
-        }
+impl StopSignal {
+    fn trigger(&self) {
+        *lock(&self.set) = true;
+        self.changed.notify_all();
     }
 
-    /// Enqueues a connection; gives it back when the queue is full (the
-    /// caller answers 503).
-    fn push(&self, conn: Conn) -> Result<(), Conn> {
-        let mut queue = self.lock();
-        if queue.len() >= self.capacity {
-            return Err(conn);
-        }
-        queue.push_back(conn);
-        self.available.notify_one();
-        Ok(())
+    fn is_set(&self) -> bool {
+        *lock(&self.set)
     }
 
-    /// Blocks for the next connection; `None` once `stop` is set and the
-    /// queue has drained (workers finish queued work before exiting).
-    fn pop(&self, stop: &AtomicBool) -> Option<Conn> {
-        let mut queue = self.lock();
-        loop {
-            if let Some(conn) = queue.pop_front() {
-                return Some(conn);
+    /// Blocks until the flag is set, or `timeout` passes (`None`: no
+    /// limit); returns whether it is set.
+    fn wait(&self, timeout: Option<Duration>) -> bool {
+        let guard = lock(&self.set);
+        let guard = match timeout {
+            None => self
+                .changed
+                .wait_while(guard, |set| !*set)
+                .unwrap_or_else(|e| e.into_inner()),
+            Some(t) => {
+                self.changed
+                    .wait_timeout_while(guard, t, |set| !*set)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
             }
-            if stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self
-                .available
-                .wait_timeout(queue, Duration::from_millis(50))
-                .unwrap_or_else(|e| {
-                    let (guard, timeout) = e.into_inner();
-                    (guard, timeout)
-                });
-            queue = guard;
-        }
-    }
-
-    fn depth(&self) -> u64 {
-        self.lock().len() as u64
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Conn>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+        };
+        *guard
     }
 }
 
-/// A running daemon: the session registry plus the accept loop's and
-/// worker pool's lifecycle.
-pub struct Daemon {
-    registry: Arc<SessionRegistry>,
-    default_session: Arc<Session>,
+/// A counting semaphore over handler slots. It publishes permits held as
+/// `served_pool_workers_busy` and requests waiting for one as
+/// `served_accept_queue_depth`.
+struct Permits {
+    /// (held, waiting)
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    limit: usize,
     metrics: Arc<ServiceMetrics>,
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+}
+
+/// One held handler slot; dropping it frees the slot.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn acquire(&self) -> Permit<'_> {
+        let mut state = lock(&self.state);
+        if state.0 >= self.limit {
+            state.1 += 1;
+            self.publish(&state);
+            while state.0 >= self.limit {
+                state = self.freed.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            state.1 -= 1;
+        }
+        state.0 += 1;
+        self.publish(&state);
+        Permit(self)
+    }
+
+    fn publish(&self, &(held, waiting): &(usize, usize)) {
+        self.metrics.pool_workers_busy.set_u64(held as u64);
+        self.metrics.accept_queue_depth.set_u64(waiting as u64);
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.0.state);
+        state.0 -= 1;
+        self.0.publish(&state);
+        self.0.freed.notify_one();
+    }
+}
+
+/// What the accept thread, connection threads and heartbeat share.
+struct Shared {
+    registry: Arc<SessionRegistry>,
+    metrics: Arc<ServiceMetrics>,
+    stop: StopSignal,
+    permits: Permits,
+    max_connections: usize,
+    /// Open connections by id: a handle on the socket (so shutdown can
+    /// end its reads) and the thread serving it.
+    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
+}
+
+/// A running daemon: the session registry plus the accept thread's,
+/// connection threads' and heartbeat's lifecycle.
+pub struct Daemon {
+    shared: Arc<Shared>,
+    default_session: Arc<Session>,
+    addr: SocketAddr,
+    /// The accept thread, then the heartbeat if the clock is realtime.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Daemon {
     /// Binds `addr` (use port 0 for an OS-assigned free port) and starts
-    /// serving with default pool settings and no journaling.
+    /// serving with default settings and no journaling.
     pub fn start(addr: &str, cfg: SessionConfig) -> Result<Daemon, ServeError> {
         Daemon::start_with(addr, DaemonConfig::new(cfg))
     }
 
-    /// Binds `addr` and starts the accept loop plus the worker pool.
+    /// Binds `addr` and starts the accept thread, plus a heartbeat that
+    /// ticks every session when the template clock is realtime (events
+    /// only play out when time is granted).
     pub fn start_with(addr: &str, cfg: DaemonConfig) -> Result<Daemon, ServeError> {
         let metrics = Arc::new(ServiceMetrics::new());
         let registry = match (&cfg.journal_dir, cfg.recover) {
@@ -204,75 +250,62 @@ impl Daemon {
         let registry = Arc::new(registry);
         let default_session = registry.default_session();
         let listener = TcpListener::bind(addr)?;
+        widen_backlog(&listener, cfg.max_connections)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue::new(cfg.queue_capacity));
+        let shared = Arc::new(Shared {
+            registry,
+            stop: StopSignal::default(),
+            permits: Permits {
+                state: Mutex::new((0, 0)),
+                freed: Condvar::new(),
+                limit: cfg.workers.max(1),
+                metrics: Arc::clone(&metrics),
+            },
+            metrics,
+            max_connections: cfg.max_connections.max(1),
+            conns: Mutex::new(HashMap::new()),
+        });
 
-        let accept_stop = Arc::clone(&stop);
-        let accept_queue = Arc::clone(&queue);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_thread = std::thread::Builder::new()
+        let accept_shared = Arc::clone(&shared);
+        let mut threads = vec![std::thread::Builder::new()
             .name("fairschedd-accept".into())
             .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
+                    if accept_shared.stop.is_set() {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
-                    let Ok(reader_stream) = stream.try_clone() else {
-                        continue;
-                    };
-                    let conn = Conn {
-                        stream,
-                        reader: BufReader::new(reader_stream),
-                    };
-                    if let Err(mut conn) = accept_queue.push(conn) {
-                        // Explicit backpressure: the queue is full, so
-                        // shed this connection rather than grow without
-                        // bound.
-                        let _ = write_response(
-                            &mut conn.stream,
-                            503,
-                            "application/json",
-                            "{\"error\":\"overloaded\",\"detail\":\"accept queue full\"}",
-                            true,
-                        );
-                        accept_metrics.observe_request("other", 503, 0);
+                    if let Ok(stream) = stream {
+                        admit(&accept_shared, id, stream);
                     }
-                    accept_metrics
-                        .accept_queue_depth
-                        .set_u64(accept_queue.depth());
                 }
-            })
-            .map_err(ServeError::from)?;
-
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for i in 0..cfg.workers.max(1) {
-            let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name(format!("fairschedd-worker-{i}"))
-                .spawn(move || worker_loop(&queue, &registry, &metrics, &stop))
-                .map_err(ServeError::from)?;
-            workers.push(handle);
+            })?];
+        if let ClockMode::Realtime { .. } = cfg.session.clock {
+            let shared = Arc::clone(&shared);
+            threads.push(
+                std::thread::Builder::new()
+                    .name("fairschedd-heartbeat".into())
+                    .spawn(move || {
+                        while !shared.stop.wait(Some(HEARTBEAT)) {
+                            for session in shared.registry.sessions() {
+                                // Sealed sessions refuse the tick; nothing
+                                // to drive there.
+                                let _ = session.tick();
+                            }
+                        }
+                    })?,
+            );
         }
 
         Ok(Daemon {
-            registry,
+            shared,
             default_session,
-            metrics,
             addr: local,
-            stop,
-            queue,
-            accept_thread: Some(accept_thread),
-            workers,
+            threads,
         })
     }
 
     /// The bound address (resolves port 0 to the real port).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -283,35 +316,35 @@ impl Daemon {
 
     /// The session registry behind the daemon.
     pub fn registry(&self) -> &Arc<SessionRegistry> {
-        &self.registry
+        &self.shared.registry
     }
 
     /// The daemon-wide metrics registry.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
-    /// Whether a shutdown request (or [`Daemon::shutdown`]) has flagged
-    /// the accept loop down.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Graceful drain: stops accepting, lets the pool finish queued and
-    /// in-flight requests (idle keep-alive connections are dropped), and
-    /// joins every thread. Does not seal sessions; callers decide
-    /// whether to finish the schedules.
+    /// Graceful drain: stops accepting, ends every open connection's
+    /// reads (in-flight responses still go out), and joins the connection
+    /// threads and the heartbeat. Trace streams stay detached until their
+    /// session seals. Does not seal sessions; callers decide whether to
+    /// finish the schedules.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        self.shared.stop.trigger();
+        if self.threads.is_empty() {
             return;
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        self.queue.available.notify_all();
-        for handle in self.workers.drain(..) {
+        // The accept thread is gone, so no connection joins the map now.
+        let open: Vec<_> = lock(&self.shared.conns).drain().map(|(_, c)| c).collect();
+        for (stream, _) in &open {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, handle) in open {
             let _ = handle.join();
         }
     }
@@ -323,177 +356,242 @@ impl Drop for Daemon {
     }
 }
 
-/// What a non-blocking look at a popped connection found.
-enum Readiness {
-    /// Bytes are waiting (or already buffered): safe to serve.
-    Ready,
-    /// No bytes yet; the connection is idle keep-alive.
-    NotReady,
-    /// The peer closed (or the socket errored).
-    Closed,
-}
-
-fn readiness(conn: &mut Conn) -> Readiness {
-    if !conn.reader.buffer().is_empty() {
-        return Readiness::Ready;
+/// Re-issues `listen(2)` with room for `max_connections` pending
+/// handshakes. std listens with a backlog of 128; when a thousand clients
+/// connect at once the queue overflows, and the kernel resets connections
+/// the clients already believe are open — submissions lost before the
+/// daemon ever sees them.
+#[cfg(target_os = "linux")]
+fn widen_backlog(listener: &TcpListener, max_connections: usize) -> std::io::Result<()> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::c_int;
+    extern "C" {
+        fn listen(fd: c_int, backlog: c_int) -> c_int;
     }
-    if conn.stream.set_nonblocking(true).is_err() {
-        return Readiness::Closed;
-    }
-    let mut probe = [0u8; 1];
-    let peeked = conn.stream.peek(&mut probe);
-    if conn.stream.set_nonblocking(false).is_err() {
-        return Readiness::Closed;
-    }
-    match peeked {
-        Ok(0) => Readiness::Closed,
-        Ok(_) => Readiness::Ready,
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Readiness::NotReady,
-        Err(_) => Readiness::Closed,
+    let backlog = c_int::try_from(max_connections).unwrap_or(c_int::MAX);
+    // SAFETY: `listen` reads only its two integer arguments, and the
+    // descriptor is owned by `listener`, which outlives the call.
+    if unsafe { listen(listener.as_raw_fd(), backlog) } == 0 {
+        Ok(())
+    } else {
+        Err(std::io::Error::last_os_error())
     }
 }
 
-fn worker_loop(
-    queue: &ConnQueue,
-    registry: &SessionRegistry,
-    metrics: &ServiceMetrics,
-    stop: &AtomicBool,
-) {
-    // Consecutive idle connections seen: when a sweep of the queue finds
-    // only parked keep-alive connections, sleep briefly instead of
-    // spinning the requeue cycle.
-    let mut idle_streak: u64 = 0;
-    while let Some(mut conn) = queue.pop(stop) {
-        metrics.accept_queue_depth.set_u64(queue.depth());
-        match readiness(&mut conn) {
-            Readiness::Closed => {
-                idle_streak = 0;
-            }
-            Readiness::NotReady => {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining: idle connections are dropped, not held
-                    // open.
-                    continue;
-                }
-                idle_streak += 1;
-                let requeued = queue.push(conn).is_ok();
-                if !requeued || idle_streak > 8 {
-                    std::thread::sleep(Duration::from_millis(1));
-                    idle_streak = 0;
-                }
-            }
-            Readiness::Ready => {
-                idle_streak = 0;
-                queue.busy.fetch_add(1, Ordering::SeqCst);
-                metrics
-                    .pool_workers_busy
-                    .set_u64(queue.busy.load(Ordering::SeqCst));
-                let keep = serve_ready(conn, registry, metrics, queue, stop);
-                queue.busy.fetch_sub(1, Ordering::SeqCst);
-                metrics
-                    .pool_workers_busy
-                    .set_u64(queue.busy.load(Ordering::SeqCst));
-                if let Some(conn) = keep {
-                    if queue.push(conn).is_err() {
-                        // Full queue on requeue: the connection is shed;
-                        // the client reconnects.
-                    }
-                }
-            }
-        }
+#[cfg(not(target_os = "linux"))]
+fn widen_backlog(_: &TcpListener, _: usize) -> std::io::Result<()> {
+    Ok(())
+}
+
+/// Hands an accepted socket to its own serving thread, or — at the
+/// connection cap — to a short-lived thread that answers `503`.
+fn admit(shared: &Arc<Shared>, id: u64, stream: TcpStream) {
+    // Held across the spawn so the thread cannot deregister before it is
+    // registered.
+    let mut conns = lock(&shared.conns);
+    if conns.len() >= shared.max_connections {
+        drop(conns);
+        let metrics = Arc::clone(&shared.metrics);
+        let _ = std::thread::Builder::new()
+            .name("fairschedd-shed".into())
+            .spawn(move || shed(stream, &metrics));
+        return;
+    }
+    let Ok(handle) = stream.try_clone() else {
+        return;
+    };
+    let conn_shared = Arc::clone(shared);
+    let thread = std::thread::Builder::new()
+        .name("fairschedd-conn".into())
+        .spawn(move || {
+            serve_connection(id, stream, &conn_shared);
+            lock(&conn_shared.conns).remove(&id);
+        });
+    if let Ok(thread) = thread {
+        conns.insert(id, (handle, thread));
     }
 }
 
-/// Serves requests on a ready connection until it goes idle (returned
-/// for requeueing), closes, errors, or upgrades to a trace stream.
-fn serve_ready(
-    mut conn: Conn,
-    registry: &SessionRegistry,
-    metrics: &ServiceMetrics,
-    queue: &ConnQueue,
-    stop: &AtomicBool,
-) -> Option<Conn> {
+/// Answers an over-cap connection `503 overloaded`. The request is read
+/// first: closing a socket with unread bytes resets it, and the client
+/// would see `ECONNRESET` instead of this typed answer.
+fn shed(mut stream: TcpStream, metrics: &ServiceMetrics) {
+    let _ = stream.set_read_timeout(Some(SHED_READ_TIMEOUT));
+    if let Ok(reader) = stream.try_clone() {
+        let _ = read_request(&mut BufReader::new(reader));
+    }
+    let _ = write_response(
+        &mut stream,
+        503,
+        "application/json",
+        "{\"error\":\"overloaded\",\"detail\":\"connection limit reached\"}",
+        true,
+    );
+    metrics.observe_request("other", 503, 0);
+}
+
+/// Serves requests on one connection until the peer closes, asks to
+/// close, errors, or upgrades to a trace stream.
+fn serve_connection(id: u64, mut stream: TcpStream, shared: &Shared) {
+    let Ok(reader) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(reader);
+    let (registry, metrics) = (&shared.registry, &shared.metrics);
     loop {
-        let req = match read_request(&mut conn.reader) {
+        let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
-            Ok(None) => return None,
+            Ok(None) => return,
             Err(e) => {
                 let err = ServeError::BadRequest {
                     detail: e.to_string(),
                 };
                 let _ = write_response(
-                    &mut conn.stream,
+                    &mut stream,
                     err.status(),
                     "application/json",
                     &err.to_json().render(),
                     true,
                 );
-                return None;
+                return;
             }
         };
-        let started = Instant::now();
+        let mut started = Instant::now();
         let label = route_label(&req.path);
 
-        // Resolve the target session and the session-relative path.
-        let (session, path) = match resolve(&req.path, registry) {
-            Ok(pair) => pair,
-            Err(e) => {
-                let status = e.status();
-                let ok = write_response(
-                    &mut conn.stream,
-                    status,
-                    "application/json",
-                    &e.to_json().render(),
-                    req.close,
-                )
-                .is_ok();
-                metrics.observe_request(label, status, elapsed_ns(started));
-                if !ok || req.close {
-                    return None;
+        let (status, content_type, body) = match resolve(&req.path, registry) {
+            Err(e) => (e.status(), "application/json", e.to_json().render()),
+            Ok((session, path)) if req.method == "GET" && path == "/v1/trace" => {
+                // The stream lives as long as the session: detach it from
+                // shutdown's join. If shutdown already took this
+                // connection to join it, do not start a stream it would
+                // wait on. Time only the setup.
+                lock(&shared.conns).remove(&id);
+                if shared.stop.is_set() {
+                    return;
                 }
-                continue;
+                metrics.observe_request(label, 200, elapsed_ns(started));
+                return stream_trace(stream, &session);
+            }
+            Ok((session, path)) => {
+                let _permit = shared.permits.acquire();
+                // The route histogram times the handler and the write, as
+                // before; the wait for a permit shows as
+                // `served_accept_queue_depth`.
+                started = Instant::now();
+                if req.method == "GET" && path == "/metrics" {
+                    (
+                        200,
+                        "text/plain; version=0.0.4",
+                        metrics.render(&registry.default_session()),
+                    )
+                } else {
+                    match route(&req, &path, &session, registry, &shared.stop) {
+                        Ok(body) => (200, "application/json", body.render()),
+                        Err(e) => (e.status(), "application/json", e.to_json().render()),
+                    }
+                }
             }
         };
-
-        if req.method == "GET" && path == "/v1/trace" {
-            // The stream lives as long as the session; it must not
-            // occupy a pool worker. Time only the setup.
-            metrics.observe_request(label, 200, elapsed_ns(started));
-            let _ = std::thread::Builder::new()
-                .name("fairschedd-trace".into())
-                .spawn(move || stream_trace(conn.stream, &session));
-            return None;
-        }
-
-        let (status, content_type, body) = if req.method == "GET" && path == "/metrics" {
-            metrics.accept_queue_depth.set_u64(queue.depth());
-            metrics
-                .pool_workers_busy
-                .set_u64(queue.busy.load(Ordering::SeqCst));
-            (
-                200,
-                "text/plain; version=0.0.4",
-                metrics.render(&registry.default_session()),
-            )
-        } else {
-            match route(&req, &path, &session, registry, stop) {
-                Ok(body) => (200, "application/json", body.render()),
-                Err(e) => (e.status(), "application/json", e.to_json().render()),
-            }
-        };
-        let ok = write_response(&mut conn.stream, status, content_type, &body, req.close).is_ok();
+        let ok = write_response(&mut stream, status, content_type, &body, req.close).is_ok();
         metrics.observe_request(label, status, elapsed_ns(started));
         if !ok || req.close {
-            return None;
-        }
-        // Keep-alive: serve pipelined bytes immediately, requeue an idle
-        // connection so this worker can pick up other work.
-        match readiness(&mut conn) {
-            Readiness::Ready => continue,
-            Readiness::NotReady => return Some(conn),
-            Readiness::Closed => return None,
+            return;
         }
     }
+}
+
+/// The daemon's command line, shared by `fairschedd` and
+/// `fairsched serve`: where to listen plus the [`DaemonConfig`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// TCP port on 127.0.0.1 (0 = OS-assigned).
+    pub port: u16,
+    /// Write the resolved port here, for scripts using port 0.
+    pub port_file: Option<PathBuf>,
+    /// Everything else the flags set.
+    pub daemon: DaemonConfig,
+}
+
+/// The flags [`ServeArgs::parse`] accepts.
+pub const SERVE_FLAGS: &str = "[--port N] [--port-file PATH] [--policy ID] [--nodes N] \
+     [--speedup X | --manual] [--no-trace] [--id-floor N] [--workers N] \
+     [--max-connections N] [--journal-dir DIR] [--recover]";
+
+impl ServeArgs {
+    /// Parses daemon flags (without the program or subcommand name).
+    /// Interactive serving defaults to a realtime clock at speedup 1;
+    /// scripts pass `--manual` or a large `--speedup`.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<ServeArgs, String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{flag} needs a number, got {value:?}"))
+        }
+        let mut out = ServeArgs {
+            port: 0,
+            port_file: None,
+            daemon: DaemonConfig::new(SessionConfig {
+                clock: ClockMode::Realtime { speedup: 1.0 },
+                ..SessionConfig::default()
+            }),
+        };
+        let (mut manual, mut speedup) = (false, None);
+        let cfg = &mut out.daemon;
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag {
+                "--manual" => manual = true,
+                "--no-trace" => cfg.session.traced = false,
+                "--recover" => cfg.recover = true,
+                "--port" => out.port = number(flag, value()?)?,
+                "--port-file" => out.port_file = Some(value()?.into()),
+                "--policy" => cfg.session.policy = value()?.to_string(),
+                "--nodes" => cfg.session.nodes = number(flag, value()?)?,
+                "--speedup" => speedup = Some(number::<f64>(flag, value()?)?),
+                "--id-floor" => cfg.session.id_floor = number(flag, value()?)?,
+                "--workers" => cfg.workers = number(flag, value()?)?,
+                "--max-connections" => cfg.max_connections = number(flag, value()?)?,
+                "--journal-dir" => cfg.journal_dir = Some(value()?.into()),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        match speedup {
+            Some(_) if manual => {
+                return Err("--manual and --speedup are mutually exclusive".into());
+            }
+            Some(s) if !(s.is_finite() && s > 0.0) => {
+                return Err(format!("--speedup must be a positive number, got {s}"));
+            }
+            Some(speedup) => cfg.session.clock = ClockMode::Realtime { speedup },
+            None if manual => cfg.session.clock = ClockMode::Manual,
+            None => {}
+        }
+        if cfg.workers == 0 || cfg.max_connections == 0 {
+            return Err("--workers and --max-connections must be at least 1".into());
+        }
+        if cfg.recover && cfg.journal_dir.is_none() {
+            return Err("--recover needs --journal-dir".into());
+        }
+        Ok(out)
+    }
+}
+
+/// Runs the daemon on `127.0.0.1:<port>` until `POST /v1/shutdown`:
+/// announces the address on stderr, writes the port file, blocks, then
+/// drains and returns the default session's final status.
+pub fn serve(args: ServeArgs) -> Result<StatusResponse, ServeError> {
+    let mut daemon = Daemon::start_with(&format!("127.0.0.1:{}", args.port), args.daemon)?;
+    let addr = daemon.addr();
+    eprintln!("fairschedd listening on {addr}");
+    if let Some(path) = &args.port_file {
+        std::fs::write(path, format!("{}\n", addr.port()))
+            .map_err(|e| ServeError::Io(format!("cannot write {}: {e}", path.display())))?;
+    }
+    daemon.shared.stop.wait(None);
+    daemon.shutdown();
+    Ok(daemon.session().status())
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -521,7 +619,7 @@ fn route(
     path: &str,
     session: &Arc<Session>,
     registry: &SessionRegistry,
-    stop: &AtomicBool,
+    stop: &StopSignal,
 ) -> Result<Json, ServeError> {
     match (req.method.as_str(), path) {
         ("POST", "/v1/jobs") => {
@@ -642,7 +740,7 @@ fn route(
             // because the connection already exists.
             let sealed_now = !session.status().sealed;
             registry.seal_all();
-            stop.store(true, Ordering::SeqCst);
+            stop.trigger();
             Ok(Json::obj([
                 ("stopping", Json::Bool(true)),
                 ("sealed_now", Json::Bool(sealed_now)),

@@ -1,8 +1,8 @@
 //! A minimal HTTP/1.1 layer over `std::net` streams.
 //!
 //! The workspace has no async runtime (vendored-stub policy: no registry
-//! access), so `fairschedd` serves blocking HTTP/1.1 from a fixed worker
-//! pool. This module owns the wire mechanics: parsing a request line plus
+//! access), so `fairschedd` serves blocking HTTP/1.1 from a thread per
+//! connection. This module owns the wire mechanics: parsing a request line plus
 //! headers plus a `Content-Length` body, and writing fixed (keep-alive by
 //! default) or close-delimited streaming responses. The daemon layers
 //! routing on top; the client layers request/response typing on top of
@@ -92,8 +92,8 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
 
 /// Writes a complete response with a JSON (or plain-text) body. The
 /// connection stays open for the next request unless `close` is set —
-/// keep-alive is what lets a thousand submitters share a fixed worker
-/// pool without a handshake per request.
+/// keep-alive is what spares a thousand submitters a handshake per
+/// request.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,

@@ -33,8 +33,8 @@
 //! * [`http`] — minimal blocking HTTP/1.1 with keep-alive (no async
 //!   runtime available).
 //! * [`metrics`] — [`ServiceMetrics`]: the daemon's `/metrics` surface.
-//! * [`daemon`] — [`Daemon`]: the accept queue, worker pool, and route
-//!   table.
+//! * [`daemon`] — [`Daemon`]: thread-per-connection serving, the route
+//!   table, and the entry point `fairschedd` and `fairsched serve` share.
 //! * [`client`] — [`Client`]: the blocking typed client (one reused
 //!   connection per clone).
 

@@ -91,10 +91,10 @@ pub struct ServiceMetrics {
     /// Journal commit batches fsynced (one per submission batch, grant,
     /// or seal that had rows to flush).
     pub journal_batches: Counter,
-    /// Pool workers currently serving a request (not parked on the
-    /// accept queue).
+    /// Handler permits held: requests running a handler right now
+    /// (bounded by `DaemonConfig::workers`).
     pub pool_workers_busy: Gauge,
-    /// Connections waiting on the accept queue for a free worker.
+    /// Requests read and waiting for a handler permit.
     pub accept_queue_depth: Gauge,
     // Session gauges, refreshed at scrape time.
     jobs_queued: Gauge,
@@ -176,12 +176,12 @@ impl ServiceMetrics {
             ),
             pool_workers_busy: registry.gauge(
                 "served_pool_workers_busy",
-                "Pool workers currently serving a request.",
+                "Handler permits held: requests running a handler now.",
                 &[],
             ),
             accept_queue_depth: registry.gauge(
                 "served_accept_queue_depth",
-                "Connections queued for a free pool worker.",
+                "Requests read and waiting for a handler permit.",
                 &[],
             ),
             jobs_queued: gauge("fairschedd_jobs_queued", "Jobs waiting in the queue."),

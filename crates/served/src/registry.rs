@@ -106,7 +106,8 @@ impl SessionRegistry {
     /// realtime clock tracks the wall and would outrun the journaled
     /// grant sequence, rejecting submissions the original run accepted.
     /// Once the history is re-applied the configured mode is adopted from
-    /// the replayed horizon, and the journal reopens for append.
+    /// the replayed horizon, and the journal reopens for append — only
+    /// then, so the replay itself re-journals nothing.
     fn rebuild(
         &self,
         path: &Path,
@@ -122,7 +123,7 @@ impl SessionRegistry {
                     // Every journaled submission was accepted once, so it
                     // must replay cleanly; a rejection means the journal
                     // and core disagree — keep going, but say so.
-                    if let Err(e) = session.submit(&req) {
+                    if let Err(e) = session.submit_batched(&req) {
                         fairsched_obs::log::warn(format!(
                             "journal {}: job {} did not replay: {e}",
                             path.display(),
@@ -332,7 +333,7 @@ mod tests {
         let a = reg.create(&spec).unwrap();
         assert_eq!(a.config().policy, "fcfs.nobackfill");
         assert_eq!(a.config().nodes, 64);
-        a.submit(&req(1, 0)).unwrap();
+        a.submit_batched(&req(1, 0)).unwrap();
         // The default session never saw team-a's submission.
         assert_eq!(reg.default_session().status().accepted, 0);
         assert_eq!(a.status().accepted, 1);
@@ -371,11 +372,11 @@ mod tests {
             })
             .unwrap();
         let d = reg.default_session();
-        d.submit(&req(1, 0)).unwrap();
-        b.submit(&req(1, 0)).unwrap();
-        d.submit(&req(2, 10)).unwrap();
+        d.submit_batched(&req(1, 0)).unwrap();
+        b.submit_batched(&req(1, 0)).unwrap();
+        d.submit_batched(&req(2, 10)).unwrap();
         d.advance_to(50).unwrap();
-        b.submit(&req(2, 20)).unwrap();
+        b.submit_batched(&req(2, 20)).unwrap();
         // Simulate the crash: drop the registry without sealing.
         drop((reg, b, d));
 
@@ -390,7 +391,7 @@ mod tests {
 
         // The recovered sessions keep working and journaling: more
         // submissions, then a second crash and recovery.
-        d2.submit(&req(3, 60)).unwrap();
+        d2.submit_batched(&req(3, 60)).unwrap();
         drop((reg2, d2, b2));
         let reg3 =
             SessionRegistry::recover(template(), &dir, Arc::new(ServiceMetrics::new())).unwrap();
@@ -400,10 +401,10 @@ mod tests {
 
         // Reference: the same submissions against a fresh session.
         let fresh = registry(None).default_session();
-        fresh.submit(&req(1, 0)).unwrap();
-        fresh.submit(&req(2, 10)).unwrap();
+        fresh.submit_batched(&req(1, 0)).unwrap();
+        fresh.submit_batched(&req(2, 10)).unwrap();
         fresh.advance_to(50).unwrap();
-        fresh.submit(&req(3, 60)).unwrap();
+        fresh.submit_batched(&req(3, 60)).unwrap();
         let reference = fresh.seal().unwrap();
         assert_eq!(sealed.schedule_fnv, reference.schedule_fnv);
         assert_eq!(d3.schedule(), fresh.schedule());

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// How a [`Session`] is configured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Policy id (parsed via [`PolicySpec::parse`]).
     pub policy: String,
@@ -250,22 +250,12 @@ impl Session {
     }
 
     /// Accepts one submission, enforcing monotonic timestamps and unique
-    /// ids at the boundary. Journals and fsyncs before returning; the
-    /// batching entry point is [`Session::submit_batched`].
-    pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitResponse, ServeError> {
-        let mut inner = self.lock();
-        let result = Self::apply_submit(&mut inner, req, &self.metrics);
-        self.commit_journal(&mut inner);
-        result
-    }
-
-    /// Accepts one submission through the batching layer: the request
-    /// joins the pending queue and whichever submitter holds the session
-    /// mutex processes the whole queue — one lock acquisition and one
-    /// journal fsync for the entire batch. Under contention this is the
-    /// path that keeps 1000 concurrent submitters off the lock; without
-    /// contention it degenerates to [`Session::submit`] plus one queue
-    /// push.
+    /// ids at the boundary; journals and fsyncs before returning. The
+    /// request joins the pending queue and whichever submitter holds the
+    /// session mutex processes the whole queue — one lock acquisition and
+    /// one journal fsync for the entire batch. Under contention this is
+    /// what keeps 1000 concurrent submitters off the lock; without
+    /// contention the batch is just this request.
     pub fn submit_batched(&self, req: &SubmitRequest) -> Result<SubmitResponse, ServeError> {
         let (tx, rx) = sync_channel(1);
         self.pending_lock().push_back((req.clone(), tx));
@@ -765,9 +755,9 @@ mod tests {
     #[test]
     fn non_monotonic_submissions_are_rejected_with_the_typed_error() {
         let session = manual_session("easy.nomax");
-        session.submit(&req(1, 1, 0, 32, 100)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 32, 100)).unwrap();
         session.advance_to(1000).unwrap();
-        let err = session.submit(&req(2, 2, 999, 4, 50)).unwrap_err();
+        let err = session.submit_batched(&req(2, 2, 999, 4, 50)).unwrap_err();
         match err {
             ServeError::NonMonotonicSubmit {
                 job,
@@ -781,14 +771,14 @@ mod tests {
             other => panic!("expected NonMonotonicSubmit, got {other:?}"),
         }
         // At the horizon is fine.
-        session.submit(&req(3, 3, 1000, 4, 50)).unwrap();
+        session.submit_batched(&req(3, 3, 1000, 4, 50)).unwrap();
     }
 
     #[test]
     fn duplicate_ids_are_rejected() {
         let session = manual_session("easy.nomax");
-        session.submit(&req(1, 1, 0, 4, 100)).unwrap();
-        let err = session.submit(&req(1, 2, 5, 8, 60)).unwrap_err();
+        session.submit_batched(&req(1, 1, 0, 4, 100)).unwrap();
+        let err = session.submit_batched(&req(1, 2, 5, 8, 60)).unwrap_err();
         assert!(matches!(err, ServeError::DuplicateId { job } if job == JobId(1)));
     }
 
@@ -805,7 +795,9 @@ mod tests {
 
         let session = manual_session("cplant24.nomax.all");
         for job in &jobs {
-            session.submit(&SubmitRequest::from_job(job)).unwrap();
+            session
+                .submit_batched(&SubmitRequest::from_job(job))
+                .unwrap();
         }
         let summary = session.seal().unwrap();
         assert_eq!(summary.records, batch.records.len() as u64);
@@ -857,8 +849,8 @@ mod tests {
     fn subscribers_stream_trace_lines_and_see_the_close() {
         let session = manual_session("easy.nomax");
         let rx = session.subscribe();
-        session.submit(&req(1, 1, 0, 32, 100)).unwrap();
-        session.submit(&req(2, 2, 5, 32, 50)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 32, 100)).unwrap();
+        session.submit_batched(&req(2, 2, 5, 32, 50)).unwrap();
         session.seal().unwrap();
         let mut lines = Vec::new();
         while let Ok(Some(line)) = rx.recv() {
@@ -882,7 +874,7 @@ mod tests {
         // Never read while 16 jobs' worth of trace lines broadcast at seal.
         for i in 0..16u32 {
             session
-                .submit(&req(i + 1, i + 1, u64::from(i) * 5, 4, 50))
+                .submit_batched(&req(i + 1, i + 1, u64::from(i) * 5, 4, 50))
                 .unwrap();
         }
         session.seal().unwrap();
@@ -912,7 +904,7 @@ mod tests {
     fn healthy_subscribers_report_zero_drops() {
         let session = manual_session("easy.nomax");
         let sub = session.subscribe();
-        session.submit(&req(1, 1, 0, 32, 100)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 32, 100)).unwrap();
         session.seal().unwrap();
         while let Ok(Some(_)) = sub.recv() {}
         assert_eq!(sub.dropped(), 0);
@@ -938,7 +930,9 @@ mod tests {
 
         let session = manual_session("easy.nomax");
         for job in &jobs {
-            session.submit(&SubmitRequest::from_job(job)).unwrap();
+            session
+                .submit_batched(&SubmitRequest::from_job(job))
+                .unwrap();
         }
         session.seal().unwrap();
 
@@ -958,10 +952,10 @@ mod tests {
     #[test]
     fn sealed_sessions_reject_further_work() {
         let session = manual_session("easy.nomax");
-        session.submit(&req(1, 1, 0, 4, 10)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 4, 10)).unwrap();
         session.seal().unwrap();
         assert!(matches!(
-            session.submit(&req(2, 1, 20, 4, 10)),
+            session.submit_batched(&req(2, 1, 20, 4, 10)),
             Err(ServeError::Sealed)
         ));
         assert!(matches!(session.advance_to(99), Err(ServeError::Sealed)));
@@ -973,8 +967,8 @@ mod tests {
     fn live_explain_decomposes_a_completed_wait() {
         let session = manual_session("easy.nomax");
         // Job 2 must wait for job 1 to release the whole machine.
-        session.submit(&req(1, 1, 0, 32, 300)).unwrap();
-        session.submit(&req(2, 2, 10, 32, 100)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 32, 300)).unwrap();
+        session.submit_batched(&req(2, 2, 10, 32, 100)).unwrap();
         session.advance_to(300).unwrap();
         let breakdown = session
             .explain(JobId(2))
@@ -988,8 +982,8 @@ mod tests {
     #[test]
     fn status_reports_queue_pressure_live() {
         let session = manual_session("easy.nomax");
-        session.submit(&req(1, 1, 0, 32, 1000)).unwrap();
-        session.submit(&req(2, 2, 0, 32, 1000)).unwrap();
+        session.submit_batched(&req(1, 1, 0, 32, 1000)).unwrap();
+        session.submit_batched(&req(2, 2, 0, 32, 1000)).unwrap();
         session.advance_to(0).unwrap();
         let s = session.status();
         assert_eq!(s.running, 1);

@@ -1,12 +1,17 @@
 //! End-to-end tests for `fairschedd` over real HTTP: a daemon on an
 //! OS-assigned port, the typed client, trace streaming, typed rejections
-//! crossing the wire, and clean shutdown.
+//! crossing the wire, the connection loop's bounds, the shared entry
+//! point, and clean shutdown.
 
 use fairsched_served::clock::ClockMode;
+use fairsched_served::daemon::{serve, DaemonConfig, ServeArgs};
 use fairsched_served::session::SessionConfig;
-use fairsched_served::{Client, Daemon, ServeError, SubmitRequest};
+use fairsched_served::{Client, Daemon, ServeError, SessionSpec, SubmitRequest};
 use fairsched_sim::{simulate, NullObserver, SimOptions};
 use fairsched_workload::job::Job;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn manual_daemon(policy: &str, nodes: u32) -> Daemon {
     Daemon::start(
@@ -215,4 +220,137 @@ fn live_explain_and_profile_respond_over_http() {
 
     client.shutdown().unwrap();
     daemon.shutdown();
+}
+
+fn manual_daemon_with(workers: usize, max_connections: usize) -> Daemon {
+    let cfg = DaemonConfig {
+        workers,
+        max_connections,
+        ..DaemonConfig::new(SessionConfig {
+            nodes: 64,
+            ..SessionConfig::default()
+        })
+    };
+    Daemon::start_with("127.0.0.1:0", cfg).expect("daemon start")
+}
+
+#[test]
+fn one_handler_permit_serves_interleaved_keep_alive_clients() {
+    let mut daemon = manual_daemon_with(1, 1024);
+    let clients: Vec<Client> = (0..3)
+        .map(|_| Client::new(daemon.addr()).with_timeout(Duration::from_secs(5)))
+        .collect();
+    // Every client keeps its connection open between requests; with one
+    // permit, an idle connection must never stand in another's way.
+    for round in 0..3u32 {
+        for (c, client) in clients.iter().enumerate() {
+            let id = round * 3 + c as u32 + 1;
+            client.submit(&req(id, id, u64::from(id), 4, 10)).unwrap();
+            assert_eq!(client.status().unwrap().accepted, u64::from(id));
+        }
+    }
+    clients[0].shutdown().unwrap();
+    daemon.shutdown();
+}
+
+#[test]
+fn a_connection_over_the_cap_reads_a_typed_503() {
+    let mut daemon = manual_daemon_with(8, 1);
+    let first = Client::new(daemon.addr()).with_timeout(Duration::from_secs(5));
+    first.status().unwrap();
+
+    let mut second = TcpStream::connect(daemon.addr()).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write!(second, "GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut response = String::new();
+    second
+        .read_to_string(&mut response)
+        .expect("the over-cap answer must be readable, not a reset");
+    assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+    assert!(response.contains("Connection: close"), "{response}");
+    assert!(response.contains("\"error\":\"overloaded\""), "{response}");
+
+    // The connection under the cap is still served; once it closes, a
+    // new one fits again.
+    first.status().unwrap();
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let third = Client::new(daemon.addr()).with_timeout(Duration::from_secs(5));
+    while third.status().is_err() {
+        assert!(Instant::now() < deadline, "the freed slot never reopened");
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_with_idle_keep_alive_connections_returns_promptly() {
+    let mut daemon = manual_daemon_with(2, 1024);
+    let clients: Vec<Client> = (0..5).map(|_| Client::new(daemon.addr())).collect();
+    for client in &clients {
+        client.status().unwrap();
+    }
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        daemon.shutdown();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown must return within 2 s with idle connections open");
+    drop(clients);
+}
+
+#[test]
+fn the_entry_point_ticks_api_created_sessions_under_a_realtime_clock() {
+    let dir = std::env::temp_dir().join(format!("fairschedd-entry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let port_file = dir.join("port");
+    let _ = std::fs::remove_file(&port_file);
+    let args = ServeArgs::parse(&[
+        "--port",
+        "0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--speedup",
+        "100",
+        "--nodes",
+        "64",
+    ])
+    .unwrap();
+    let server = std::thread::spawn(move || serve(args));
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let port: u16 = loop {
+        assert!(Instant::now() < deadline, "daemon never wrote its port");
+        if let Some(port) = std::fs::read_to_string(&port_file)
+            .ok()
+            .and_then(|text| text.trim().parse().ok())
+        {
+            break port;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let client = Client::new(format!("127.0.0.1:{port}").parse().unwrap());
+    client.create_session(&SessionSpec::named("live")).unwrap();
+    let live = client.for_session("live");
+
+    // Dated just ahead of the moving horizon; no one calls advance/tick.
+    let granted = live.status().unwrap().granted;
+    live.submit(&req(1, 1, granted + 50, 8, 10)).unwrap();
+    while live.status().unwrap().completed < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "a job in an API-created realtime session never ran"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    client.shutdown().unwrap();
+    server
+        .join()
+        .unwrap()
+        .expect("serve returns the final status");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -201,7 +201,7 @@ fn cplant_arrivals_replay_through_the_service_at_high_speedup() {
         .expect("session");
         for job in &shifted {
             session
-                .submit(&SubmitRequest::from_job(job))
+                .submit_batched(&SubmitRequest::from_job(job))
                 .unwrap_or_else(|e| panic!("{policy}: lost submission {}: {e}", job.id));
         }
         // Let the accelerated clock drive some of the run live, then seal
