@@ -51,8 +51,8 @@ pub mod sweep;
 
 pub use policy::PolicySpec;
 pub use runner::{
-    run_policy, run_policy_faulted, try_run_policy, try_run_policy_traced, OutcomeMetrics,
-    PolicyOutcome, PolicyRun, RunOptions,
+    run_policy, try_run_policy, try_run_policy_traced, OutcomeMetrics, PolicyOutcome, PolicyRun,
+    RunOptions,
 };
 pub use sweep::grid::{cell_fault_seed, FaultPoint, SweepPlan};
 pub use sweep::journal::{CellRow, CellStatus, JournalReplay, JournalWriter};

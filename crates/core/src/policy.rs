@@ -5,7 +5,6 @@
 //! and whether a maximum-runtime limit applies. [`PolicySpec::sim_config`]
 //! lowers it onto the simulator.
 
-use fairsched_sim::engine::{composition_of, Composition};
 use fairsched_sim::{EngineKind, HeavyUserRule, RuntimeLimit, SimConfig, StarvationConfig};
 use fairsched_workload::time::HOUR;
 use std::borrow::Cow;
@@ -239,15 +238,6 @@ impl PolicySpec {
         PolicySpec::parse(id).ok()
     }
 
-    /// The declarative strategy composition this policy's engine resolves
-    /// to: which queue-order strategy, reservation ledger, and backfill
-    /// rule make it up. Every policy — the paper's nine included — is a row
-    /// of this table; the starvation queue and runtime limit are simulator
-    /// configuration layered on top, not part of the engine composition.
-    pub fn composition(&self) -> Composition {
-        composition_of(self.engine)
-    }
-
     /// Lowers this policy onto a simulator configuration for a
     /// `nodes`-wide machine. Everything not policy-specific (fairshare
     /// decay, queue order, kill rule) keeps the CPlant defaults.
@@ -392,61 +382,5 @@ mod tests {
                 "{bad} should not parse"
             );
         }
-    }
-
-    #[test]
-    fn nine_policies_decompose_into_the_documented_strategy_table() {
-        use fairsched_sim::engine::{LedgerKind, OrderKind, RuleKind};
-        // The nine paper policies collapse onto three engine compositions:
-        // the five CPlant rows share the starvation-promotion greedy walk
-        // (their knobs live in SimConfig, not the engine), and the four
-        // conservative rows split only on the static/dynamic ledger.
-        let expect = |id: &str| PolicySpec::by_id(id).unwrap().composition();
-        for id in [
-            "cplant24.nomax.all",
-            "cplant72.nomax.all",
-            "cplant24.nomax.fair",
-            "cplant24.72max.all",
-            "cplant72.72max.fair",
-        ] {
-            assert_eq!(
-                expect(id),
-                Composition {
-                    order: OrderKind::PromoteStarving,
-                    ledger: LedgerKind::HeadOfQueue,
-                    rule: RuleKind::Greedy,
-                },
-                "{id}"
-            );
-        }
-        for (id, dynamic) in [
-            ("cons.nomax", false),
-            ("cons.72max", false),
-            ("consdyn.nomax", true),
-            ("consdyn.72max", true),
-        ] {
-            assert_eq!(
-                expect(id),
-                Composition {
-                    order: OrderKind::Priority,
-                    ledger: LedgerKind::Conservative { dynamic },
-                    rule: RuleKind::ReservationDue,
-                },
-                "{id}"
-            );
-        }
-        // The reference points outside the nine.
-        assert_eq!(
-            PolicySpec::easy().composition(),
-            Composition {
-                order: OrderKind::PromoteHead,
-                ledger: LedgerKind::HeadOfQueue,
-                rule: RuleKind::Greedy,
-            }
-        );
-        assert_eq!(
-            PolicySpec::fcfs_no_backfill().composition().rule,
-            RuleKind::NoBackfill
-        );
     }
 }

@@ -5,8 +5,7 @@
 //! simulation feeds every requested metric (the hybrid-FST and equality
 //! observers share the run through an `ObserverSet`; the per-user and
 //! resilience reports are pure folds over its results). The historical
-//! [`run_policy`] / [`run_policy_faulted`] conveniences are thin panicking
-//! wrappers over it.
+//! [`run_policy`] convenience is a thin panicking wrapper over it.
 
 use crate::policy::PolicySpec;
 use fairsched_metrics::fairness::equality::{EqualityObserver, EqualityReport};
@@ -110,8 +109,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Options with a fault model and no optional reports — the historical
-    /// [`run_policy_faulted`] behaviour.
+    /// Options with a fault model and no optional reports.
     pub fn with_faults(faults: FaultConfig) -> Self {
         RunOptions {
             faults,
@@ -189,8 +187,7 @@ pub fn try_run_policy_traced(
         if opts.equality {
             observers.push(&mut equality);
         }
-        // The runner keeps its own ProfileScope (above) rather than using
-        // SimOptions::profile: the scope must also cover the fairness
+        // The runner's ProfileScope (above) also covers the fairness
         // scoring after the run.
         let mut sim_opts = SimOptions::new();
         if let Some(sink) = sink {
@@ -228,35 +225,27 @@ pub fn try_run_policy_traced(
 /// invalid traces/configs; prefer [`try_run_policy`] where a failure must
 /// not abort the caller.
 pub fn run_policy(trace: &[Job], policy: &PolicySpec, nodes: u32) -> PolicyOutcome {
-    run_policy_faulted(trace, policy, nodes, &FaultConfig::default())
-}
-
-/// [`run_policy`] under a fault model: same policy lowering, but the
-/// simulator additionally injects the configured node failures and job
-/// crashes. With `FaultConfig::default()` (all fault sources off) this is
-/// byte-identical to the fault-free path. Still deterministic: the fault
-/// timeline is a pure function of the config's seed. Panics on invalid
-/// traces/configs; prefer [`try_run_policy`].
-pub fn run_policy_faulted(
-    trace: &[Job],
-    policy: &PolicySpec,
-    nodes: u32,
-    faults: &FaultConfig,
-) -> PolicyOutcome {
-    try_run_policy(
-        trace,
-        policy,
-        nodes,
-        &RunOptions::with_faults(faults.clone()),
-    )
-    .map(|run| run.outcome)
-    .unwrap_or_else(|e| panic!("{e}"))
+    try_run_policy(trace, policy, nodes, &RunOptions::default())
+        .map(|run| run.outcome)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fairsched_workload::CplantModel;
+
+    /// One 1024-node run under `faults`; panics on failure.
+    fn run_faulted(trace: &[Job], policy: &PolicySpec, faults: &FaultConfig) -> PolicyOutcome {
+        try_run_policy(
+            trace,
+            policy,
+            1024,
+            &RunOptions::with_faults(faults.clone()),
+        )
+        .unwrap()
+        .outcome
+    }
 
     fn small_trace() -> Vec<Job> {
         CplantModel::new(17).with_scale(0.02).generate()
@@ -303,7 +292,7 @@ mod tests {
         let trace = small_trace();
         let p = PolicySpec::baseline();
         let clean = run_policy(&trace, &p, 1024);
-        let faulted = run_policy_faulted(&trace, &p, 1024, &FaultConfig::default());
+        let faulted = run_faulted(&trace, &p, &FaultConfig::default());
         assert_eq!(clean.schedule, faulted.schedule);
         assert_eq!(clean.fairness, faulted.fairness);
         // And a fault-free run reports an all-clean resilience split.
@@ -321,7 +310,7 @@ mod tests {
             seed: 11,
             ..FaultConfig::default()
         };
-        let out = run_policy_faulted(&trace, &p, 1024, &faults);
+        let out = run_faulted(&trace, &p, &faults);
         let split = out.resilience();
         assert!(
             split.interrupted_count() > 0,
@@ -355,7 +344,7 @@ mod tests {
         let run = try_run_policy(&trace, &p, 1024, &opts).unwrap();
         // The historical path: one run for the schedule + hybrid report,
         // then one scoring pass per additional metric.
-        let outcome = run_policy_faulted(&trace, &p, 1024, &faults);
+        let outcome = run_faulted(&trace, &p, &faults);
         assert_eq!(run.outcome.schedule, outcome.schedule);
         assert_eq!(run.outcome.fairness, outcome.fairness);
         assert_eq!(

@@ -15,6 +15,30 @@ use std::net::TcpStream;
 /// a few hundred bytes; this is purely an abuse guard).
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest request line or header line, terminator included (8 KiB), and
+/// most headers one request may carry: the same abuse guard for the head
+/// of a request, so a peer that never sends `\n` cannot make its
+/// connection thread buffer without bound.
+const MAX_LINE: u64 = 8 << 10;
+const MAX_HEADERS: usize = 64;
+
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// `read_line` capped at [`MAX_LINE`] bytes: a longer line is an
+/// `InvalidData` error once the cap is read, without waiting for its end.
+fn read_bounded_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let n = reader.take(MAX_LINE).read_line(line)?;
+    if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(invalid("request line or header too long"));
+    }
+    Ok(n)
+}
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -33,24 +57,20 @@ pub struct Request {
 /// clean EOF before any bytes (client closed a keep-alive connection).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Request>> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_bounded_line(reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "malformed request line",
-            ))
-        }
+        _ => return Err(invalid("malformed request line")),
     };
     let mut content_length = 0usize;
     let mut close = false;
+    let mut headers = 0;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_bounded_line(reader, &mut header)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "eof in headers",
@@ -60,11 +80,16 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                })?;
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| invalid("bad content-length"))?;
             } else if name.eq_ignore_ascii_case("connection")
                 && value.trim().eq_ignore_ascii_case("close")
             {
@@ -73,15 +98,11 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
         }
     }
     if content_length > MAX_BODY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "body too large",
-        ));
+        return Err(invalid("body too large"));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body"))?;
+    let body = String::from_utf8(body).map_err(|_| invalid("non-utf8 body"))?;
     Ok(Some(Request {
         method,
         path,
@@ -203,6 +224,51 @@ mod tests {
         drop((stream, reader));
         assert_eq!(served, 3);
         assert_eq!(client.join().unwrap(), 3);
+    }
+
+    /// Serves `head` to `read_request` from a peer that then keeps the
+    /// connection open, with a read deadline so an unbounded read fails
+    /// the test instead of hanging it.
+    fn read_from_open_peer(head: Vec<u8>) -> std::io::Result<Option<Request>> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&head).unwrap();
+            let _ = done_rx.recv();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let result = read_request(&mut BufReader::new(stream));
+        drop(done_tx);
+        client.join().unwrap();
+        result
+    }
+
+    #[test]
+    fn an_unterminated_request_line_is_rejected_at_the_cap() {
+        let err = read_from_open_peer(vec![b'G'; 16 << 10]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn too_many_headers_are_rejected() {
+        let mut head = b"GET /v1/status HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            head.extend_from_slice(format!("X-H{i}: 1\r\n").as_bytes());
+        }
+        let err = read_from_open_peer(head).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        // The cap itself is accepted.
+        let mut head = b"GET /v1/status HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS {
+            head.extend_from_slice(format!("X-H{i}: 1\r\n").as_bytes());
+        }
+        head.extend_from_slice(b"\r\n");
+        assert!(read_from_open_peer(head).unwrap().is_some());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`DepthLedger`] — profile reservations for the first `n` jobs in
 //!   priority order, rebuilt per pass.
 
-use super::{EngineCtx, FAR_FUTURE};
+use super::{backfill, EngineCtx, QueueOrderStrategy, FAR_FUTURE};
 use crate::profile::Profile;
 use crate::state::QueuedJob;
 use fairsched_obs::{counters, TraceRecord};
@@ -94,9 +94,9 @@ pub enum Admission {
     Infeasible,
 }
 
-/// Reservation bookkeeping for one engine composition. Lifecycle callbacks
-/// mirror [`Engine`](super::Engine); per-pass hooks are driven by the
-/// [`BackfillRule`](super::BackfillRule).
+/// Reservation bookkeeping of one [`Engine`](super::Engine). Lifecycle
+/// callbacks mirror the engine's; per-pass hooks are driven by the backfill
+/// walk the ledger runs from [`ReservationLedger::select`].
 pub trait ReservationLedger: Send {
     /// A job entered the queue (already present in `ctx.queue`).
     fn on_arrival(&mut self, _job: &QueuedJob, _ctx: &EngineCtx<'_>) {}
@@ -105,6 +105,11 @@ pub trait ReservationLedger: Send {
     /// A running job completed or was killed.
     fn on_complete(&mut self, _id: JobId) {}
 
+    /// One scheduling pass: walks the queue in `order` with the backfill
+    /// walk written for this ledger and returns the ids to start, in start
+    /// order.
+    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId>;
+
     /// Called once per scheduling pass before any admission query.
     /// `blocked_promoted` is the queue index of a promoted job that could
     /// not start immediately — it holds the pass's aggressive guard.
@@ -112,10 +117,10 @@ pub trait ReservationLedger: Send {
 
     /// May the walk's `rank`-th job (queue index `i`) start right now, with
     /// `free` nodes idle? May mutate per-pass state (spare-node budgets,
-    /// profile holds) — the rule must query jobs in walk order exactly once.
+    /// profile holds) — the walk must query jobs in walk order exactly once.
     fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> Admission;
 
-    /// The job at queue index `i` was just started by the rule.
+    /// The job at queue index `i` was just started by the walk.
     fn note_start(&mut self, _ctx: &EngineCtx<'_>, _i: usize) {}
 
     /// Reserved start for `id`, when this ledger plans one.
@@ -132,6 +137,10 @@ pub trait ReservationLedger: Send {
 pub struct NoReservations;
 
 impl ReservationLedger for NoReservations {
+    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
+        backfill::no_backfill(ctx, order, self)
+    }
+
     fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> Admission {
         if ctx.queue[i].nodes <= free {
             Admission::Start
@@ -155,6 +164,10 @@ pub struct HeadOfQueue {
 }
 
 impl ReservationLedger for HeadOfQueue {
+    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
+        backfill::greedy(ctx, order, self)
+    }
+
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, blocked_promoted: Option<usize>) {
         self.guard = blocked_promoted.map(|g| {
             let head = &ctx.queue[g];
@@ -509,6 +522,10 @@ impl ConservativeLedger {
 }
 
 impl ReservationLedger for ConservativeLedger {
+    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
+        backfill::reservation_due(ctx, order, self)
+    }
+
     fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
         if self.dynamic {
             // Reservations are rebuilt wholesale in the next pass.
@@ -637,6 +654,10 @@ impl DepthLedger {
 }
 
 impl ReservationLedger for DepthLedger {
+    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
+        backfill::profile_greedy(ctx, order, self)
+    }
+
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {
         let mut profile = Profile::new(ctx.total_nodes);
         for r in ctx.running {
@@ -684,12 +705,14 @@ impl ReservationLedger for DepthLedger {
 mod tests {
     use super::*;
     use crate::config::{EngineKind, FairshareConfig, QueueOrder, SimConfig};
-    use crate::engine::{compose, ComposedEngine, Engine};
+    use crate::engine::Engine;
     use crate::fairshare::FairshareTracker;
     use crate::simulator::Sim;
     use crate::state::{NullObserver, RunningJob};
     use fairsched_workload::job::UserId;
     use fairsched_workload::synthetic::CplantModel;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn reservation_math_for_aggressive_guard() {
@@ -863,30 +886,24 @@ mod tests {
         assert_eq!(ledger.reservation_of(JobId(2)), Some(150));
     }
 
-    /// Counts the passes that reach the conservative ledger's `improve`.
-    struct CountImproves {
-        inner: ComposedEngine,
-        improves: u64,
-    }
+    /// The priority order, counting the passes that reach the ledger with a
+    /// non-empty queue: each one runs or skips the conservative `improve`.
+    #[derive(Clone)]
+    struct CountPasses(Arc<AtomicU64>);
 
-    impl Engine for CountImproves {
-        fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
-            self.inner.on_arrival(job, ctx);
+    impl QueueOrderStrategy for CountPasses {
+        fn walk_order(&self, ctx: &EngineCtx<'_>) -> Vec<usize> {
+            ctx.priority()
         }
-        fn on_start(&mut self, id: JobId) {
-            self.inner.on_start(id);
-        }
-        fn on_complete(&mut self, id: JobId) {
-            self.inner.on_complete(id);
-        }
-        fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId> {
+
+        fn begin_pass(&mut self, ctx: &EngineCtx<'_>) {
             if !ctx.queue.is_empty() {
-                self.improves += 1;
+                self.0.fetch_add(1, Ordering::Relaxed);
             }
-            self.inner.select_starts(ctx)
         }
-        fn fork(&self) -> Box<dyn Engine> {
-            self.inner.fork()
+
+        fn clone_box(&self) -> Box<dyn QueueOrderStrategy> {
+            Box::new(self.clone())
         }
     }
 
@@ -904,23 +921,30 @@ mod tests {
             engine: EngineKind::Conservative { dynamic: false },
             ..SimConfig::default()
         };
-        let mut engine = CountImproves {
-            inner: compose(cfg.engine),
-            improves: 0,
+        let passes = Arc::new(AtomicU64::new(0));
+        let mut engine = Engine {
+            order: Box::new(CountPasses(Arc::clone(&passes))),
+            ledger: Box::new(ConservativeLedger::new(false)),
         };
-        let mut sim = Sim::new(&cfg, &trace);
+        let mut sim = Sim::new(&cfg);
+        for job in &trace {
+            sim.admit(job);
+        }
         let _scope = counters::ProfileScope::enter();
         let before = counters::CounterSnapshot::capture();
-        while sim.step(&mut engine, &mut NullObserver).unwrap() {}
+        while sim
+            .step_bounded(None, &mut engine, &mut NullObserver)
+            .unwrap()
+        {}
         let skipped = counters::CounterSnapshot::capture()
             .since(&before)
             .plan_skipped;
+        let improves = passes.load(Ordering::Relaxed);
         // Concurrent profiled tests can only add to the process-wide count.
-        assert!(engine.improves > 1000, "{} passes", engine.improves);
+        assert!(improves > 1000, "{improves} passes");
         assert!(
-            skipped * 10 >= engine.improves * 9,
-            "skipped {skipped} of {} improve passes",
-            engine.improves
+            skipped * 10 >= improves * 9,
+            "skipped {skipped} of {improves} improve passes"
         );
     }
 }

@@ -1,26 +1,24 @@
 //! Scheduling engines: who starts, and when.
 //!
 //! An [`Engine`] decides which queued jobs start at each scheduling event
-//! (arrival or completion, §3.1). Engines are no longer monoliths: every
-//! policy is a [`ComposedEngine`] assembled from three orthogonal strategy
-//! layers, declaratively described by a [`Composition`]:
+//! (arrival or completion, §3.1). [`Engine::new`] builds it from the
+//! policy's [`EngineKind`] out of two strategies:
 //!
 //! * a [`QueueOrderStrategy`] (`order`) — the walk order over the queue,
 //!   plus which job (if any) is *promoted* to hold the pass's aggressive
 //!   guard: none, the priority head (EASY), or the starvation-queue head
 //!   (CPlant §2.1);
 //! * a [`ReservationLedger`] (`ledger`) — what future promises constrain
-//!   backfilling: none, a single head-of-queue aggressive reservation, the
-//!   conservative per-job profile (§5.3, with the §5.4 dynamic rebuild), or
-//!   a depth-limited profile;
-//! * a [`BackfillRule`] (`rule`) — how the walk turns admissions into
-//!   starts: strict no-backfill (Figure 1), the greedy aggressive walk,
-//!   conservative due-reservation dispatch, or the profile-greedy walk.
+//!   backfilling, and the backfill walk (`backfill`) written for them:
+//!   no promises with strict no-backfill (Figure 1), a single
+//!   head-of-queue aggressive reservation with the greedy walk, the
+//!   conservative per-job profile (§5.3, with the §5.4 dynamic rebuild)
+//!   with due-reservation dispatch, or a depth-limited profile with the
+//!   profile-greedy walk.
 //!
-//! The paper's nine policies are recovered exactly by [`composition_of`];
-//! `core::policy` builds on the same table. The decomposition preserves
-//! byte-identical schedules with the pre-refactor monolithic engines
-//! (pinned by the root `engine_equivalence` golden suite).
+//! The strategy split preserves byte-identical schedules with the
+//! pre-refactor monolithic engines (pinned by the root `engine_equivalence`
+//! golden suite).
 
 use crate::config::{EngineKind, QueueOrder, StarvationConfig};
 use crate::fairshare::FairshareTracker;
@@ -30,13 +28,10 @@ use fairsched_obs::TraceHandle;
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 
-pub mod backfill;
+mod backfill;
 pub mod ledger;
 pub mod order;
 
-pub use backfill::{
-    BackfillRule, GreedyRule, NoBackfillRule, ProfileGreedyRule, ReservationDueRule,
-};
 pub use ledger::{
     Admission, ConservativeLedger, ConservativeSnapshot, DepthLedger, HeadOfQueue, NoReservations,
     ReservationLedger,
@@ -91,181 +86,73 @@ impl EngineCtx<'_> {
     }
 }
 
-/// A scheduling engine. All callbacks default to no-ops so stateless engines
-/// implement only [`Engine::select_starts`] and [`Engine::fork`].
+/// The scheduling engine of one run: a queue-order strategy plus the
+/// reservation ledger whose own backfill walk turns admissions into starts.
 ///
-/// `Send` so a whole [`Sim`](crate::Sim) (which owns its engine) can move to a
-/// sweep worker thread; engines hold no thread-affine state.
-pub trait Engine: Send {
-    /// A job entered the queue (already present in `ctx.queue`).
-    fn on_arrival(&mut self, _job: &QueuedJob, _ctx: &EngineCtx<'_>) {}
-    /// A previously queued job started (already removed from the queue).
-    fn on_start(&mut self, _id: JobId) {}
-    /// A running job completed or was killed.
-    fn on_complete(&mut self, _id: JobId) {}
-    /// Chooses jobs to start *now*. Every returned job must currently fit
-    /// (the simulator asserts this) and be returned at most once.
-    fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId>;
-    /// An exact replica of this engine, internal state included. Warm-start
-    /// prefix simulation forks the master engine per query so stateful
-    /// ledgers (conservative reservations) continue from the master's
-    /// exact bookkeeping instead of being rebuilt from scratch.
-    fn fork(&self) -> Box<dyn Engine>;
-}
-
-/// Which [`QueueOrderStrategy`] a composition uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OrderKind {
-    /// Walk the priority order; promote nothing.
-    Priority,
-    /// Promote the priority head to the aggressive guard (EASY).
-    PromoteHead,
-    /// Promote the starvation-queue head to the aggressive guard (CPlant).
-    PromoteStarving,
-    /// FSP's virtual fair schedule: walk in virtual completion order and
-    /// promote the virtual head to the aggressive guard.
-    VirtualFair,
-    /// [`OrderKind::VirtualFair`] with the HFSP aging credit blended in.
-    VirtualFairAged,
-    /// Least attained service per user, the head promoted as in EASY.
-    LeastAttained,
-}
-
-/// Which [`ReservationLedger`] a composition uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LedgerKind {
-    /// No future promises: a job is admitted iff it fits right now.
-    Unreserved,
-    /// One aggressive reservation guarding the pass's blocked promoted job.
-    HeadOfQueue,
-    /// Per-job conservative reservations (§5.3); `dynamic` rebuilds the
-    /// whole ledger at every event (§5.4).
-    Conservative {
-        /// §5.4 dynamic reservations when `true`.
-        dynamic: bool,
-    },
-    /// Profile reservations for the first `n` jobs in priority order.
-    Depth(u32),
-}
-
-/// Which [`BackfillRule`] a composition uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RuleKind {
-    /// Strict FCFS: stop at the first job that cannot start (Figure 1).
-    NoBackfill,
-    /// The greedy aggressive walk (no-guarantee / EASY).
-    Greedy,
-    /// Start jobs whose conservative reservations have come due.
-    ReservationDue,
-    /// The profile-greedy walk of the reservation-depth engines.
-    ProfileGreedy,
-}
-
-/// A declarative engine composition: one strategy per layer. The nine paper
-/// policies are rows of this table (see [`composition_of`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Composition {
-    /// Queue-walk order and guard promotion.
-    pub order: OrderKind,
-    /// Reservation bookkeeping.
-    pub ledger: LedgerKind,
-    /// Walk-to-starts rule.
-    pub rule: RuleKind,
-}
-
-impl Composition {
-    /// Instantiates the strategies this composition names.
-    pub fn build(self) -> ComposedEngine {
-        let order: Box<dyn QueueOrderStrategy> = match self.order {
-            OrderKind::Priority => Box::new(PriorityOrder),
-            OrderKind::PromoteHead => Box::new(HeadPromotion),
-            OrderKind::PromoteStarving => Box::new(StarvationPromotion),
-            OrderKind::VirtualFair => Box::new(VirtualFairOrder::fsp()),
-            OrderKind::VirtualFairAged => Box::new(VirtualFairOrder::hfsp()),
-            OrderKind::LeastAttained => Box::new(LeastAttainedOrder::default()),
-        };
-        let ledger: Box<dyn ReservationLedger> = match self.ledger {
-            LedgerKind::Unreserved => Box::new(NoReservations),
-            LedgerKind::HeadOfQueue => Box::new(HeadOfQueue::default()),
-            LedgerKind::Conservative { dynamic } => Box::new(ConservativeLedger::new(dynamic)),
-            LedgerKind::Depth(depth) => Box::new(DepthLedger::new(depth)),
-        };
-        let rule: Box<dyn BackfillRule> = match self.rule {
-            RuleKind::NoBackfill => Box::new(NoBackfillRule),
-            RuleKind::Greedy => Box::new(GreedyRule),
-            RuleKind::ReservationDue => Box::new(ReservationDueRule),
-            RuleKind::ProfileGreedy => Box::new(ProfileGreedyRule),
-        };
-        ComposedEngine {
-            spec: self,
-            order,
-            ledger,
-            rule,
-        }
-    }
-}
-
-/// The strategy table: which composition realizes each [`EngineKind`].
-pub fn composition_of(kind: EngineKind) -> Composition {
-    match kind {
-        EngineKind::NoGuarantee => Composition {
-            order: OrderKind::PromoteStarving,
-            ledger: LedgerKind::HeadOfQueue,
-            rule: RuleKind::Greedy,
-        },
-        EngineKind::Easy => Composition {
-            order: OrderKind::PromoteHead,
-            ledger: LedgerKind::HeadOfQueue,
-            rule: RuleKind::Greedy,
-        },
-        EngineKind::Conservative { dynamic } => Composition {
-            order: OrderKind::Priority,
-            ledger: LedgerKind::Conservative { dynamic },
-            rule: RuleKind::ReservationDue,
-        },
-        EngineKind::ReservationDepth(depth) => Composition {
-            order: OrderKind::Priority,
-            ledger: LedgerKind::Depth(depth),
-            rule: RuleKind::ProfileGreedy,
-        },
-        EngineKind::FcfsNoBackfill => Composition {
-            order: OrderKind::Priority,
-            ledger: LedgerKind::Unreserved,
-            rule: RuleKind::NoBackfill,
-        },
-        // The size-based family shares EASY's guard machinery: the order
-        // strategy names its own head (virtual completion / least attained
-        // service) and the head-of-queue ledger plus greedy rule protect it.
-        EngineKind::Fsp => Composition {
-            order: OrderKind::VirtualFair,
-            ledger: LedgerKind::HeadOfQueue,
-            rule: RuleKind::Greedy,
-        },
-        EngineKind::Hfsp => Composition {
-            order: OrderKind::VirtualFairAged,
-            ledger: LedgerKind::HeadOfQueue,
-            rule: RuleKind::Greedy,
-        },
-        EngineKind::Las => Composition {
-            order: OrderKind::LeastAttained,
-            ledger: LedgerKind::HeadOfQueue,
-            rule: RuleKind::Greedy,
-        },
-    }
-}
-
-/// An engine assembled from the three strategy layers.
-pub struct ComposedEngine {
-    spec: Composition,
+/// `Clone` is an exact replica, internal state included: warm-start prefix
+/// simulation clones the master engine per query so stateful ledgers
+/// (conservative reservations) continue from the master's exact
+/// bookkeeping instead of being rebuilt from scratch. `Send` so a whole
+/// simulation, engine included, can move to a sweep worker thread.
+pub struct Engine {
     order: Box<dyn QueueOrderStrategy>,
     ledger: Box<dyn ReservationLedger>,
-    rule: Box<dyn BackfillRule>,
 }
 
-impl ComposedEngine {
-    /// The declarative composition this engine was built from.
-    pub fn spec(&self) -> Composition {
-        self.spec
+impl Engine {
+    /// The engine realizing `kind`: the strategy table of the policies.
+    pub fn new(kind: EngineKind) -> Self {
+        let order: Box<dyn QueueOrderStrategy> = match kind {
+            EngineKind::NoGuarantee => Box::new(StarvationPromotion),
+            EngineKind::Easy => Box::new(HeadPromotion),
+            EngineKind::Conservative { .. }
+            | EngineKind::ReservationDepth(_)
+            | EngineKind::FcfsNoBackfill => Box::new(PriorityOrder),
+            EngineKind::Fsp => Box::new(VirtualFairOrder::fsp()),
+            EngineKind::Hfsp => Box::new(VirtualFairOrder::hfsp()),
+            EngineKind::Las => Box::new(LeastAttainedOrder::default()),
+        };
+        let ledger: Box<dyn ReservationLedger> = match kind {
+            EngineKind::Conservative { dynamic } => Box::new(ConservativeLedger::new(dynamic)),
+            EngineKind::ReservationDepth(depth) => Box::new(DepthLedger::new(depth)),
+            EngineKind::FcfsNoBackfill => Box::new(NoReservations),
+            // The size-based family shares EASY's guard machinery: the
+            // order names its own head (virtual completion / least
+            // attained service) and the head-of-queue guard protects it.
+            EngineKind::NoGuarantee
+            | EngineKind::Easy
+            | EngineKind::Fsp
+            | EngineKind::Hfsp
+            | EngineKind::Las => Box::new(HeadOfQueue::default()),
+        };
+        Engine { order, ledger }
+    }
+
+    /// A job entered the queue (already present in `ctx.queue`).
+    pub fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
+        self.ledger.on_arrival(job, ctx);
+        self.order.on_arrival(job, ctx);
+    }
+
+    /// A previously queued job started (already removed from the queue).
+    pub fn on_start(&mut self, id: JobId) {
+        self.ledger.on_start(id);
+        self.order.on_start(id);
+    }
+
+    /// A running job completed or was killed.
+    pub fn on_complete(&mut self, id: JobId) {
+        self.ledger.on_complete(id);
+        self.order.on_complete(id);
+    }
+
+    /// Chooses jobs to start *now*. Every returned job currently fits (the
+    /// simulator asserts this) and is returned at most once.
+    pub fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId> {
+        // Stateful orders advance their virtual clocks before the walk;
+        // stateless ones no-op, keeping pre-refactor schedules byte-exact.
+        self.order.begin_pass(ctx);
+        self.ledger.select(ctx, self.order.as_ref())
     }
 
     /// Reserved start of a queued job, when the ledger plans one
@@ -273,55 +160,15 @@ impl ComposedEngine {
     pub fn reservation_of(&self, id: JobId) -> Option<Time> {
         self.ledger.reservation_of(id)
     }
-
-    /// Direct access to the reservation ledger (testing/inspection).
-    pub fn ledger(&self) -> &dyn ReservationLedger {
-        self.ledger.as_ref()
-    }
 }
 
-impl Engine for ComposedEngine {
-    fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
-        self.ledger.on_arrival(job, ctx);
-        self.order.on_arrival(job, ctx);
-    }
-
-    fn on_start(&mut self, id: JobId) {
-        self.ledger.on_start(id);
-        self.order.on_start(id);
-    }
-
-    fn on_complete(&mut self, id: JobId) {
-        self.ledger.on_complete(id);
-        self.order.on_complete(id);
-    }
-
-    fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId> {
-        // Stateful orders advance their virtual clocks before the walk;
-        // stateless ones no-op, keeping pre-refactor schedules byte-exact.
-        self.order.begin_pass(ctx);
-        self.rule
-            .select(ctx, self.order.as_ref(), self.ledger.as_mut())
-    }
-
-    fn fork(&self) -> Box<dyn Engine> {
-        Box::new(ComposedEngine {
-            spec: self.spec,
+impl Clone for Engine {
+    fn clone(&self) -> Self {
+        Engine {
             order: self.order.clone_box(),
             ledger: self.ledger.clone_box(),
-            rule: self.rule.clone_box(),
-        })
+        }
     }
-}
-
-/// Builds the composed engine for a policy.
-pub fn compose(kind: EngineKind) -> ComposedEngine {
-    composition_of(kind).build()
-}
-
-/// Builds the engine for a policy (boxed, for the simulator driver).
-pub fn make_engine(kind: EngineKind) -> Box<dyn Engine> {
-    Box::new(compose(kind))
 }
 
 #[cfg(test)]
@@ -379,90 +226,24 @@ mod tests {
         FairshareTracker::new(FairshareConfig::default())
     }
 
-    fn no_guarantee() -> ComposedEngine {
-        compose(EngineKind::NoGuarantee)
+    fn no_guarantee() -> Engine {
+        Engine::new(EngineKind::NoGuarantee)
     }
 
-    fn easy() -> ComposedEngine {
-        compose(EngineKind::Easy)
+    fn easy() -> Engine {
+        Engine::new(EngineKind::Easy)
     }
 
-    fn conservative(dynamic: bool) -> ComposedEngine {
-        compose(EngineKind::Conservative { dynamic })
+    fn conservative(dynamic: bool) -> Engine {
+        Engine::new(EngineKind::Conservative { dynamic })
     }
 
-    fn depth(n: u32) -> ComposedEngine {
-        compose(EngineKind::ReservationDepth(n))
+    fn depth(n: u32) -> Engine {
+        Engine::new(EngineKind::ReservationDepth(n))
     }
 
-    fn no_backfill() -> ComposedEngine {
-        compose(EngineKind::FcfsNoBackfill)
-    }
-
-    #[test]
-    fn composition_table_is_the_documented_one() {
-        assert_eq!(
-            composition_of(EngineKind::NoGuarantee),
-            Composition {
-                order: OrderKind::PromoteStarving,
-                ledger: LedgerKind::HeadOfQueue,
-                rule: RuleKind::Greedy,
-            }
-        );
-        assert_eq!(
-            composition_of(EngineKind::Easy),
-            Composition {
-                order: OrderKind::PromoteHead,
-                ledger: LedgerKind::HeadOfQueue,
-                rule: RuleKind::Greedy,
-            }
-        );
-        for dynamic in [false, true] {
-            assert_eq!(
-                composition_of(EngineKind::Conservative { dynamic }),
-                Composition {
-                    order: OrderKind::Priority,
-                    ledger: LedgerKind::Conservative { dynamic },
-                    rule: RuleKind::ReservationDue,
-                }
-            );
-        }
-        assert_eq!(
-            composition_of(EngineKind::ReservationDepth(3)),
-            Composition {
-                order: OrderKind::Priority,
-                ledger: LedgerKind::Depth(3),
-                rule: RuleKind::ProfileGreedy,
-            }
-        );
-        assert_eq!(
-            composition_of(EngineKind::FcfsNoBackfill),
-            Composition {
-                order: OrderKind::Priority,
-                ledger: LedgerKind::Unreserved,
-                rule: RuleKind::NoBackfill,
-            }
-        );
-        // The size-based family rides EASY's guard machinery.
-        for (kind, order) in [
-            (EngineKind::Fsp, OrderKind::VirtualFair),
-            (EngineKind::Hfsp, OrderKind::VirtualFairAged),
-            (EngineKind::Las, OrderKind::LeastAttained),
-        ] {
-            assert_eq!(
-                composition_of(kind),
-                Composition {
-                    order,
-                    ledger: LedgerKind::HeadOfQueue,
-                    rule: RuleKind::Greedy,
-                }
-            );
-        }
-        // The built engine remembers its spec.
-        assert_eq!(
-            no_guarantee().spec(),
-            composition_of(EngineKind::NoGuarantee)
-        );
+    fn no_backfill() -> Engine {
+        Engine::new(EngineKind::FcfsNoBackfill)
     }
 
     #[test]
@@ -474,7 +255,7 @@ mod tests {
             queued(1, 1, 6, 10_000, 0), // virtual size 60000
             queued(2, 2, 6, 100, 5),    // virtual size 600 → virtual head
         ];
-        let mut engine = compose(EngineKind::Fsp);
+        let mut engine = Engine::new(EngineKind::Fsp);
         let c = ctx(5, 10, &[], &queue, &fs, None);
         // Both fit alone but not together: the virtual head starts and
         // job 1 no longer fits later in the same walk.
@@ -490,7 +271,7 @@ mod tests {
             queued(2, 2, 4, 2000 * HOUR, 10), // would delay the head's slot
             queued(3, 3, 2, 500, 10),         // ends under the shadow
         ];
-        let mut engine = compose(EngineKind::Fsp);
+        let mut engine = Engine::new(EngineKind::Fsp);
         let c = ctx(10, 10, &runners, &queue, &fs, None);
         // Head (8 wide, virtual size 800 after negligible drain) cannot fit;
         // its guard shadows the runner's end. Job 2 (long, 4 > extra 2)
@@ -501,7 +282,7 @@ mod tests {
     #[test]
     fn las_engine_prefers_the_unserved_user() {
         let fs = fs();
-        let mut engine = compose(EngineKind::Las);
+        let mut engine = Engine::new(EngineKind::Las);
         // User 1 accrues service via a running job; user 2 has none.
         let runners = vec![RunningJob {
             id: JobId(90),
@@ -531,7 +312,7 @@ mod tests {
         assert_eq!(engine.reservation_of(JobId(1)), Some(1000));
         // The fork carries the reservation; mutating it leaves the original
         // untouched.
-        let mut forked = engine.fork();
+        let mut forked = engine.clone();
         forked.on_start(JobId(1));
         assert_eq!(engine.reservation_of(JobId(1)), Some(1000));
     }

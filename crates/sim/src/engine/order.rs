@@ -35,7 +35,7 @@ use std::collections::HashMap;
 
 /// The queue-walk order and guard promotion of a scheduling pass.
 pub trait QueueOrderStrategy: Send {
-    /// Queue indices in the order the backfill rule walks them.
+    /// Queue indices in the order the backfill walk visits them.
     fn walk_order(&self, ctx: &EngineCtx<'_>) -> Vec<usize>;
 
     /// The queue index promoted to hold this pass's aggressive guard, with
@@ -54,7 +54,7 @@ pub trait QueueOrderStrategy: Send {
     fn on_complete(&mut self, _id: JobId) {}
 
     /// Called once at the top of every `select_starts` pass, before the
-    /// backfill rule asks for the walk order. Stateful strategies advance
+    /// backfill walk asks for the walk order. Stateful strategies advance
     /// their clocks here (virtual drains, attained-service accrual); the
     /// scheduling fixpoint re-enters at the same instant, so a repeated
     /// call with `dt = 0` must be a semantic no-op.

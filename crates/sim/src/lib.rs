@@ -16,11 +16,12 @@
 //!   the resilience policies that decide what crashed work costs;
 //! * [`fairshare`] — the decaying per-user processor-second accumulator that
 //!   drives Sandia's queue priority;
-//! * [`engine`] — the scheduling strategies: every policy is a composition
-//!   of a queue-order strategy, a reservation ledger, and a backfill rule
-//!   (the original CPlant no-guarantee backfiller with its starvation
-//!   queue, textbook EASY, and conservative backfilling with or without
-//!   dynamic reservations are all rows of one table);
+//! * [`engine`] — the scheduling [`engine::Engine`], built from the
+//!   policy's [`EngineKind`] out of a queue-order strategy and a
+//!   reservation ledger that runs its own backfill walk (the original
+//!   CPlant no-guarantee backfiller with its starvation queue, textbook
+//!   EASY, and conservative backfilling with or without dynamic
+//!   reservations are all arms of one constructor);
 //! * `lifecycle` (internal) — submission lifecycle: pending arrivals,
 //!   runtime-limit chunk chains (§5.1), and crash recovery;
 //! * `accounting` (internal) — the utilization, loss-of-capacity, and
@@ -42,8 +43,8 @@
 //!   records) — the substrate both the batch driver and the online
 //!   `fairschedd` service run on;
 //! * [`simulator`] — the batch driver: [`simulator::simulate`] with a
-//!   [`simulator::SimOptions`] builder for tracing, cancellation, fault
-//!   overrides, and profiling.
+//!   [`simulator::SimOptions`] builder for tracing, cancellation, and
+//!   fault overrides.
 //!
 //! Determinism is a contract: equal (trace, config) inputs produce equal
 //! schedules, event ties are totally ordered, and nothing in this crate

@@ -15,7 +15,7 @@ use crate::faults::ResiliencePolicy;
 use crate::simulator::SimError;
 use fairsched_workload::job::{GroupId, Job, JobId, UserId};
 use fairsched_workload::time::Time;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Resubmission cap per original job. Legitimate chunk chains stay far
 /// below this (an 82-year job at the 72 h limit would be the first to
@@ -58,6 +58,9 @@ pub(crate) struct Lifecycle {
     chains: HashMap<JobId, usize>, // chunk id → chain index
     chain_states: Vec<ChainState>,
     next_id: u32,
+    // Every submission id this run has registered: admitted trace jobs and
+    // minted chunk/resubmission ids alike.
+    ids: HashSet<JobId>,
     // Set when a job crosses `MAX_SUBMISSIONS_PER_ORIGIN`; surfaced as a
     // typed error by the simulator's next invariant check instead of
     // looping forever.
@@ -65,20 +68,36 @@ pub(crate) struct Lifecycle {
 }
 
 impl Lifecycle {
-    /// Empty bookkeeping; fresh ids start past the trace's largest.
-    pub(crate) fn new(trace: &[Job]) -> Self {
+    /// Empty bookkeeping; fresh ids start at 1 until
+    /// [`Lifecycle::reserve_ids`] raises the floor.
+    pub(crate) fn new() -> Self {
         Lifecycle {
             pending: HashMap::new(),
             chains: HashMap::new(),
             chain_states: Vec::new(),
-            next_id: trace.iter().map(|j| j.id.0).max().unwrap_or(0) + 1,
+            next_id: 1,
+            ids: HashSet::new(),
             diverged: None,
         }
+    }
+
+    /// Whether `id` already names a submission of this run.
+    pub(crate) fn knows(&self, id: JobId) -> bool {
+        self.ids.contains(&id)
+    }
+
+    /// A fresh submission id for a chunk or a resubmission.
+    fn mint_id(&mut self) -> JobId {
+        let id = JobId(self.next_id);
+        self.next_id += 1;
+        self.ids.insert(id);
+        id
     }
 
     /// Registers an original trace job: either a standalone submission or
     /// the head of a runtime-limited chain.
     pub(crate) fn admit(&mut self, cfg: &SimConfig, job: &Job, events: &mut EventQueue) {
+        self.ids.insert(job.id);
         let chained = cfg
             .runtime_limit
             .map(|rl| job.estimate > rl.limit)
@@ -153,11 +172,7 @@ impl Lifecycle {
             return None;
         }
         chain.next_chunk += 1;
-        let id = reuse_id.unwrap_or_else(|| {
-            let id = JobId(self.next_id);
-            self.next_id += 1;
-            id
-        });
+        let id = reuse_id.unwrap_or_else(|| self.mint_id());
         let chain = self.chain_states[chain_idx];
         self.chains.insert(id, chain_idx);
         self.pending.insert(
@@ -232,8 +247,7 @@ impl Lifecycle {
                         });
                         return None;
                     }
-                    let new_id = JobId(self.next_id);
-                    self.next_id += 1;
+                    let new_id = self.mint_id();
                     self.pending.insert(new_id, resubmission);
                     events.push(now, EventKind::Arrival, new_id);
                     Some(new_id)
@@ -276,8 +290,8 @@ impl Lifecycle {
     }
 
     /// Raises the floor fresh ids are minted from; never lowers it. The
-    /// stepped core calls this per accepted submission so online id
-    /// numbering matches [`Lifecycle::new`]'s whole-trace maximum.
+    /// stepped core calls this per accepted submission, so minted ids stay
+    /// above every submitted one.
     pub(crate) fn reserve_ids(&mut self, floor: u32) {
         self.next_id = self.next_id.max(floor);
     }
@@ -321,7 +335,7 @@ mod tests {
     fn long_jobs_split_into_limit_sized_chunks() {
         let cfg = chained_cfg(100);
         let mut events = EventQueue::new();
-        let mut lc = Lifecycle::new(&[]);
+        let mut lc = Lifecycle::new();
         // 250 s of work at a 100 s limit: chunks of 100, 100, 50.
         let job = Job::new(1, 1, 1, 0, 4, 250, 250);
         lc.admit(&cfg, &job, &mut events);
@@ -349,7 +363,7 @@ mod tests {
     fn short_jobs_stay_standalone() {
         let cfg = chained_cfg(100);
         let mut events = EventQueue::new();
-        let mut lc = Lifecycle::new(&[]);
+        let mut lc = Lifecycle::new();
         let job = Job::new(7, 1, 1, 5, 2, 80, 90);
         lc.admit(&cfg, &job, &mut events);
         assert_eq!(lc.pending_user(JobId(7)), UserId(1));

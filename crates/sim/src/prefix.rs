@@ -17,8 +17,8 @@
 //!   does) pops the exact event sequence a from-scratch run would.
 //! * **Engine determinism.** The engine kept across prefix boundaries is
 //!   advanced in lockstep with the master state, and each query continues
-//!   from an exact [`fork`](crate::engine::Engine::fork) of it. Because
-//!   every engine mutation flows through [`Sim::step`] (admission alone
+//!   from an exact clone ([`Engine`]'s `Clone`) of it. Because every
+//!   engine mutation flows through `Sim::step_bounded` (admission alone
 //!   touches no engine callback), the forked engine's state — including the
 //!   static conservative ledger's reservations — is precisely what a
 //!   from-scratch run of the same prefix would have built. The *dynamic*
@@ -32,7 +32,8 @@
 //!   prefix; both features are gated out so ids never diverge.
 
 use crate::config::{EngineKind, SimConfig};
-use crate::simulator::{make_engine_for, CancelToken, Sim, SimError};
+use crate::engine::Engine;
+use crate::simulator::{validate_config, CancelToken, Sim, SimError};
 use crate::state::NullObserver;
 use fairsched_workload::job::{Job, JobId};
 use fairsched_workload::time::Time;
@@ -45,8 +46,8 @@ use fairsched_workload::time::Time;
 /// [`EngineKind::representatives`] for every kind classified `true`.
 ///
 /// The size-based orders (FSP/LAS/HFSP) qualify: their state is a pure
-/// function of the hook-call sequence driven by [`Sim::step`] (admission
-/// touches no engine callback), so a [`fork`](crate::engine::Engine::fork)
+/// function of the hook-call sequence driven by `Sim::step_bounded`
+/// (admission touches no engine callback), so a clone of the [`Engine`]
 /// replays the same float operations a from-scratch prefix run would.
 pub fn warm_start_forkable(kind: EngineKind) -> bool {
     match kind {
@@ -94,7 +95,7 @@ pub fn warm_start_supported(cfg: &SimConfig) -> bool {
 pub struct PrefixSimulator<'a> {
     cfg: &'a SimConfig,
     master: Sim,
-    engine: Box<dyn crate::engine::Engine>,
+    engine: Engine,
     last_key: Option<(Time, u32)>,
 }
 
@@ -109,17 +110,11 @@ impl<'a> PrefixSimulator<'a> {
                     .into(),
             });
         }
-        if let Some(cap) = cfg.user_concurrency {
-            if cap < 1 {
-                return Err(SimError::InvalidConfig {
-                    reason: "user_concurrency must be at least 1".into(),
-                });
-            }
-        }
+        validate_config(cfg)?;
         Ok(PrefixSimulator {
             cfg,
-            master: Sim::new(cfg, &[]),
-            engine: make_engine_for(cfg),
+            master: Sim::new(cfg),
+            engine: Engine::new(cfg.engine),
             last_key: None,
         })
     }
@@ -130,17 +125,7 @@ impl<'a> PrefixSimulator<'a> {
     /// the arrival and must be processed together, exactly as a
     /// from-scratch run would.
     fn advance_and_admit(&mut self, job: &Job) -> Result<(), SimError> {
-        if job.nodes > self.cfg.nodes {
-            return Err(SimError::TooWide {
-                job: job.id,
-                nodes: job.nodes,
-                machine: self.cfg.nodes,
-            });
-        }
-        job.validate().map_err(|e| SimError::InvalidTrace {
-            job: job.id,
-            reason: e.to_string(),
-        })?;
+        self.master.validate(job)?;
         let key = (job.submit, job.id.0);
         if self.last_key.is_some_and(|last| last > key) {
             return Err(SimError::InvalidTrace {
@@ -154,7 +139,8 @@ impl<'a> PrefixSimulator<'a> {
             .next_event_time()
             .is_some_and(|t| t < job.submit)
         {
-            self.master.step(self.engine.as_mut(), &mut NullObserver)?;
+            self.master
+                .step_bounded(None, &mut self.engine, &mut NullObserver)?;
         }
         self.master.admit(job);
         Ok(())
@@ -175,7 +161,7 @@ impl<'a> PrefixSimulator<'a> {
         PrefixSimulator {
             cfg: self.cfg,
             master: self.master.clone(),
-            engine: self.engine.fork(),
+            engine: self.engine.clone(),
             last_key: self.last_key,
         }
     }
@@ -211,7 +197,10 @@ impl<'a> PrefixSimulator<'a> {
             if let Some(start) = self.master.start_time_of(id) {
                 return Ok(start);
             }
-            if !self.master.step(self.engine.as_mut(), &mut NullObserver)? {
+            if !self
+                .master
+                .step_bounded(None, &mut self.engine, &mut NullObserver)?
+            {
                 // Every admitted job starts in a drained simulation; not
                 // starting means the state machine is broken.
                 return Err(SimError::InvariantViolation {

@@ -24,7 +24,7 @@
 
 use crate::accounting::{Accounting, GapState};
 use crate::config::{AllocationModel, KillPolicy, SimConfig};
-use crate::engine::{make_engine, Engine, EngineCtx};
+use crate::engine::{Engine, EngineCtx};
 use crate::event::{EventKind, EventQueue};
 use crate::fairshare::FairshareTracker;
 use crate::faults::{FaultModel, Outage, ResiliencePolicy};
@@ -403,6 +403,42 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// The job checks every entry point runs before admitting a submission, in
+/// error precedence order: it fits a `machine`-node machine, passes its own
+/// invariants, and is not a `duplicate` of an id the run already holds.
+pub(crate) fn validate_job(job: &Job, machine: u32, duplicate: bool) -> Result<(), SimError> {
+    if job.nodes > machine {
+        return Err(SimError::TooWide {
+            job: job.id,
+            nodes: job.nodes,
+            machine,
+        });
+    }
+    job.validate().map_err(|e| SimError::InvalidTrace {
+        job: job.id,
+        reason: e.to_string(),
+    })?;
+    if duplicate {
+        return Err(SimError::InvalidTrace {
+            job: job.id,
+            reason: "duplicate job id".into(),
+        });
+    }
+    Ok(())
+}
+
+/// The configuration checks every entry point runs before building a core.
+pub(crate) fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
+    if cfg.user_concurrency.is_some_and(|cap| cap < 1) {
+        return Err(SimError::InvalidConfig {
+            reason: "user_concurrency must be at least 1".into(),
+        });
+    }
+    cfg.faults
+        .validate()
+        .map_err(|reason| SimError::InvalidConfig { reason })
+}
+
 /// Why a running job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cause {
@@ -562,8 +598,8 @@ pub(crate) struct Sim {
 ///
 /// Every batch run goes through
 /// [`simulate`]`(trace, cfg, observer, SimOptions)`: tracing, cooperative
-/// cancellation, a fault-model override, and pass profiling are all knobs
-/// on this builder instead of positional `Option` parameters.
+/// cancellation, and a fault-model override are knobs on this builder
+/// instead of positional `Option` parameters.
 ///
 /// ```
 /// use fairsched_sim::{simulate, NullObserver, SimConfig, SimOptions};
@@ -579,12 +615,11 @@ pub struct SimOptions<'a> {
     pub(crate) sink: Option<&'a mut dyn TraceSink>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) faults: Option<crate::faults::FaultConfig>,
-    pub(crate) profile: bool,
 }
 
 impl<'a> SimOptions<'a> {
-    /// No tracing, no cancellation, the config's own fault model, no
-    /// profiling — the plain run.
+    /// No tracing, no cancellation, the config's own fault model — the
+    /// plain run.
     pub fn new() -> Self {
         Self::default()
     }
@@ -612,16 +647,6 @@ impl<'a> SimOptions<'a> {
     /// whole `SimConfig` at every call site.
     pub fn faults(mut self, faults: crate::faults::FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Wraps the run in an [`obs
-    /// ProfileScope`](fairsched_obs::counters::ProfileScope) so pass
-    /// timers and counters record. Callers that need a delta report still
-    /// snapshot [`CounterSnapshot`](fairsched_obs::counters::CounterSnapshot)
-    /// around the call, as `core::runner` does.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 }
@@ -662,18 +687,9 @@ pub fn simulate(
     use crate::step::{Effect, SimEvent, SteppedSim};
     // Validate the whole trace up front (the historical error precedence:
     // job problems surface before config problems).
+    let mut ids = HashSet::with_capacity(trace.len());
     for job in trace {
-        if job.nodes > cfg.nodes {
-            return Err(SimError::TooWide {
-                job: job.id,
-                nodes: job.nodes,
-                machine: cfg.nodes,
-            });
-        }
-        job.validate().map_err(|e| SimError::InvalidTrace {
-            job: job.id,
-            reason: e.to_string(),
-        })?;
+        validate_job(job, cfg.nodes, !ids.insert(job.id))?;
     }
     let faulted_cfg;
     let cfg = match opts.faults {
@@ -686,9 +702,6 @@ pub fn simulate(
         }
         None => cfg,
     };
-    let _scope = opts
-        .profile
-        .then(fairsched_obs::counters::ProfileScope::enter);
     let mut sink = opts.sink;
     let mut core = SteppedSim::with_trace_effects(cfg, sink.is_some())?;
     if let Some(cancel) = opts.cancel {
@@ -709,12 +722,8 @@ pub fn simulate(
     Ok(schedule)
 }
 
-pub(crate) fn make_engine_for(cfg: &SimConfig) -> Box<dyn Engine> {
-    make_engine(cfg.engine)
-}
-
 impl Sim {
-    pub(crate) fn new(cfg: &SimConfig, trace: &[Job]) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         let mut sim = Sim {
             cfg: cfg.clone(),
             events: EventQueue::new(),
@@ -726,7 +735,7 @@ impl Sim {
             running: Vec::new(),
             overdue: Vec::new(),
             fairshare: FairshareTracker::new(cfg.fairshare),
-            lifecycle: Lifecycle::new(trace),
+            lifecycle: Lifecycle::new(),
             open: HashMap::new(),
             records: Vec::new(),
             in_system: HashMap::new(),
@@ -744,9 +753,6 @@ impl Sim {
             promoted: HashSet::new(),
             cancel: None,
         };
-        for job in trace {
-            sim.admit(job);
-        }
         sim.schedule_next_failure();
         sim
     }
@@ -763,9 +769,10 @@ impl Sim {
         }
     }
 
-    /// The configuration this run is under.
-    pub(crate) fn cfg(&self) -> &SimConfig {
-        &self.cfg
+    /// Runs [`validate_job`] against this machine and the ids this run
+    /// already holds. Callers check before [`Sim::admit`].
+    pub(crate) fn validate(&self, job: &Job) -> Result<(), SimError> {
+        validate_job(job, self.cfg.nodes, self.lifecycle.knows(job.id))
     }
 
     /// Registers an original trace job: either a standalone submission or
@@ -809,24 +816,14 @@ impl Sim {
 
     /// Processes the next event batch — every event at the earliest pending
     /// instant — followed by the scheduling fixpoint and the invariant
-    /// check. Returns `Ok(false)` when no events remain. The prefix engine
-    /// drives partial simulations through this instead of [`Sim::run`].
-    pub(crate) fn step(
-        &mut self,
-        engine: &mut dyn Engine,
-        observer: &mut dyn Observer,
-    ) -> Result<bool, SimError> {
-        self.step_bounded(None, engine, observer)
-    }
-
-    /// [`Sim::step`] with an optional horizon: an event batch strictly
-    /// after `horizon` is left pending and `Ok(false)` is returned, so a
+    /// check. Returns `Ok(false)` when no events remain, or when the next
+    /// batch lies strictly after `horizon`: it is left pending, so a
     /// virtual-clock driver can grant simulated time in bounded slices
     /// without ever processing an event the clock has not reached.
     pub(crate) fn step_bounded(
         &mut self,
         horizon: Option<Time>,
-        engine: &mut dyn Engine,
+        engine: &mut Engine,
         observer: &mut dyn Observer,
     ) -> Result<bool, SimError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
@@ -999,7 +996,7 @@ impl Sim {
     fn process(
         &mut self,
         ev: crate::event::Event,
-        engine: &mut dyn Engine,
+        engine: &mut Engine,
         observer: &mut dyn Observer,
     ) {
         match ev.kind {
@@ -1046,7 +1043,7 @@ impl Sim {
     /// A node fails: pick a victim uniformly among functional nodes. An
     /// idle victim just goes down; a victim under a running job crashes
     /// that job (its other nodes come back free, the failed one does not).
-    fn handle_node_down(&mut self, seq: u32, engine: &mut dyn Engine, observer: &mut dyn Observer) {
+    fn handle_node_down(&mut self, seq: u32, engine: &mut Engine, observer: &mut dyn Observer) {
         let repair = self
             .repairs
             .remove(&seq)
@@ -1154,7 +1151,7 @@ impl Sim {
         }
     }
 
-    fn handle_arrival(&mut self, id: JobId, engine: &mut dyn Engine, observer: &mut dyn Observer) {
+    fn handle_arrival(&mut self, id: JobId, engine: &mut Engine, observer: &mut dyn Observer) {
         // Closed-loop feedback: a user at their concurrency cap defers this
         // submission until one of their jobs finishes.
         if let Some(cap) = self.cfg.user_concurrency {
@@ -1205,7 +1202,7 @@ impl Sim {
         &mut self,
         id: JobId,
         cause: Cause,
-        engine: &mut dyn Engine,
+        engine: &mut Engine,
         observer: &mut dyn Observer,
     ) {
         let pos = self
@@ -1304,7 +1301,7 @@ impl Sim {
         }
     }
 
-    fn start_job(&mut self, id: JobId, engine: &mut dyn Engine, observer: &mut dyn Observer) {
+    fn start_job(&mut self, id: JobId, engine: &mut Engine, observer: &mut dyn Observer) {
         let pos = self
             .queue
             .iter()
@@ -1348,7 +1345,7 @@ impl Sim {
     }
 
     /// Runs the engine (and the when-needed kill rule) to a fixpoint.
-    fn schedule_pass(&mut self, engine: &mut dyn Engine, observer: &mut dyn Observer) {
+    fn schedule_pass(&mut self, engine: &mut Engine, observer: &mut dyn Observer) {
         let timer = counters::pass_timer();
         loop {
             let starts = {
@@ -1833,6 +1830,33 @@ mod tests {
     fn too_wide_jobs_are_rejected() {
         let trace = [job(1, 1, 0, 20, 100, 100)];
         run(&trace, &cfg(10, EngineKind::NoGuarantee));
+    }
+
+    #[test]
+    fn a_reused_job_id_is_a_typed_error_at_every_entry_point() {
+        use crate::prefix::PrefixSimulator;
+        use crate::step::{SimEvent, SteppedSim};
+        let c = cfg(10, EngineKind::NoGuarantee);
+        let (first, again) = (job(1, 1, 0, 2, 100, 100), job(1, 2, 5, 4, 50, 50));
+        fn duplicate<T>(r: Result<T, SimError>) {
+            assert!(
+                matches!(r, Err(SimError::InvalidTrace { job: JobId(1), .. })),
+                "a second job 1 must be rejected"
+            );
+        }
+        duplicate(simulate(
+            &[first.clone(), again.clone()],
+            &c,
+            &mut NullObserver,
+            SimOptions::new(),
+        ));
+        let mut core = SteppedSim::new(&c).unwrap();
+        core.step(SimEvent::Submit(first.clone()), &mut NullObserver)
+            .unwrap();
+        duplicate(core.step(SimEvent::Submit(again.clone()), &mut NullObserver));
+        let mut prefix = PrefixSimulator::new(&c).unwrap();
+        assert_eq!(prefix.start_of(&first).unwrap(), 0);
+        duplicate(prefix.start_of(&again));
     }
 
     mod faults {

@@ -22,7 +22,7 @@
 
 use crate::config::SimConfig;
 use crate::engine::Engine;
-use crate::simulator::{make_engine_for, CancelToken, JobRecord, Schedule, Sim, SimError};
+use crate::simulator::{validate_config, CancelToken, JobRecord, Schedule, Sim, SimError};
 use crate::state::Observer;
 use fairsched_obs::{TraceHandle, TraceRecord};
 use fairsched_workload::job::{Job, JobId};
@@ -143,7 +143,7 @@ impl Observer for EffectObserver {
 /// driver and `fairsched-served` for the online one.
 pub struct SteppedSim {
     sim: Sim,
-    engine: Box<dyn Engine>,
+    engine: Engine,
     trace: Option<TraceBuf>,
 }
 
@@ -158,18 +158,9 @@ impl SteppedSim {
     /// run emits is returned as an [`Effect::Trace`] from the step that
     /// produced it.
     pub fn with_trace_effects(cfg: &SimConfig, traced: bool) -> Result<Self, SimError> {
-        if let Some(cap) = cfg.user_concurrency {
-            if cap < 1 {
-                return Err(SimError::InvalidConfig {
-                    reason: "user_concurrency must be at least 1".into(),
-                });
-            }
-        }
-        cfg.faults
-            .validate()
-            .map_err(|reason| SimError::InvalidConfig { reason })?;
-        let engine = make_engine_for(cfg);
-        let mut sim = Sim::new(cfg, &[]);
+        validate_config(cfg)?;
+        let engine = Engine::new(cfg.engine);
+        let mut sim = Sim::new(cfg);
         let trace = traced.then(TraceBuf::new);
         sim.set_trace(trace.clone());
         Ok(SteppedSim { sim, engine, trace })
@@ -239,17 +230,7 @@ impl SteppedSim {
     }
 
     fn submit(&mut self, job: Job) -> Result<Vec<Effect>, SimError> {
-        if job.nodes > self.sim.cfg().nodes {
-            return Err(SimError::TooWide {
-                job: job.id,
-                nodes: job.nodes,
-                machine: self.sim.cfg().nodes,
-            });
-        }
-        job.validate().map_err(|e| SimError::InvalidTrace {
-            job: job.id,
-            reason: e.to_string(),
-        })?;
+        self.sim.validate(&job)?;
         if job.submit < self.sim.now() {
             return Err(SimError::SubmittedInPast {
                 job: job.id,
@@ -277,7 +258,7 @@ impl SteppedSim {
             let progressed = {
                 let mut chained = (&mut fx, &mut *observer);
                 self.sim
-                    .step_bounded(Some(horizon), self.engine.as_mut(), &mut chained)?
+                    .step_bounded(Some(horizon), &mut self.engine, &mut chained)?
             };
             effects.append(&mut fx.effects);
             if let Some(trace) = &self.trace {

@@ -1,11 +1,11 @@
 //! Old-vs-new engine equivalence suite (the strategy-decomposition refactor).
 //!
-//! The scheduling core was refactored from monolithic `Engine`
-//! implementations into composed `QueueOrder` / `ReservationLedger` /
-//! `BackfillRule` strategies. The refactor must preserve byte-identical
-//! `Schedule`s: these goldens were recorded at small scale against the
-//! pre-refactor engines (commit `bc1d7de`) and every recomposed policy is
-//! replayed against them. A digest mismatch means the recomposition changed
+//! The scheduling core was refactored from monolithic engine
+//! implementations into one `Engine` built from a `QueueOrderStrategy` and
+//! a `ReservationLedger` that runs its own backfill walk. The refactor must
+//! preserve byte-identical `Schedule`s: these goldens were recorded at small
+//! scale against the pre-refactor engines (commit `bc1d7de`) and every
+//! recomposed policy is replayed against them. A digest mismatch means the recomposition changed
 //! an actual scheduling decision somewhere — not just formatting.
 //!
 //! To re-record after an *intentional* semantic change (which should be rare
@@ -364,9 +364,9 @@ mod properties {
 
         /// A recomposed policy is a pure function of (trace, config): two
         /// runs agree byte-for-byte, fault injection included. Hidden state
-        /// bleeding between the order/ledger/rule layers of a
-        /// `ComposedEngine` (or between the extracted lifecycle/accounting
-        /// modules) shows up here as a digest mismatch.
+        /// bleeding between the order and ledger layers of an `Engine` (or
+        /// between the extracted lifecycle/accounting modules) shows up
+        /// here as a digest mismatch.
         #[test]
         fn every_recomposed_policy_is_deterministic(
             trace in arb_trace(),
