@@ -30,14 +30,27 @@ use std::sync::{mpsc, Mutex, PoisonError};
 /// Computes the scheduler-dependent FST for every job: its start when the
 /// trace is truncated right after its own arrival.
 pub fn sabin_fsts(trace: &[Job], cfg: &SimConfig) -> HashMap<JobId, Time> {
-    sabin_fsts_for(trace, cfg, trace.iter().map(|j| j.id))
-}
-
-/// Computes scheduler-dependent FSTs for every `stride`-th job (1-in-stride
-/// systematic sample, deterministic).
-pub fn sabin_fsts_sampled(trace: &[Job], cfg: &SimConfig, stride: usize) -> HashMap<JobId, Time> {
-    assert!(stride >= 1);
-    sabin_fsts_for(trace, cfg, trace.iter().step_by(stride).map(|j| j.id))
+    trace
+        .iter()
+        .map(|target| {
+            // Jobs arriving strictly after `target` are deleted; simultaneous
+            // arrivals with smaller id are "earlier" per the trace order.
+            let prefix: Vec<Job> = trace
+                .iter()
+                .filter(|j| (j.submit, j.id) <= (target.submit, target.id))
+                .cloned()
+                .collect();
+            let schedule = simulate(&prefix, cfg, &mut NullObserver, SimOptions::new())
+                .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
+            let start = schedule
+                .records
+                .iter()
+                .find(|r| r.id == target.id)
+                .map(|r| r.start)
+                .expect("target job is in its own prefix");
+            (target.id, start)
+        })
+        .collect()
 }
 
 /// [`sabin_fsts`] fanned across `threads` workers (defaulting to the
@@ -62,8 +75,9 @@ pub fn sabin_fsts_parallel(
     sabin_fsts_parallel_for(trace, cfg, &targets, threads)
 }
 
-/// [`sabin_fsts_sampled`] fanned across `threads` workers; same sample as
-/// the serial version (every `stride`-th job in trace order), same results.
+/// [`sabin_fsts_parallel`] restricted to every `stride`-th job in trace
+/// order (a deterministic 1-in-stride systematic sample); each sampled
+/// job's FST equals its [`sabin_fsts`] entry.
 pub fn sabin_fsts_parallel_sampled(
     trace: &[Job],
     cfg: &SimConfig,
@@ -73,34 +87,6 @@ pub fn sabin_fsts_parallel_sampled(
     assert!(stride >= 1);
     let targets: HashSet<JobId> = trace.iter().step_by(stride).map(|j| j.id).collect();
     sabin_fsts_parallel_for(trace, cfg, &targets, threads)
-}
-
-fn sabin_fsts_for(
-    trace: &[Job],
-    cfg: &SimConfig,
-    jobs: impl Iterator<Item = JobId>,
-) -> HashMap<JobId, Time> {
-    let by_id: HashMap<JobId, &Job> = trace.iter().map(|j| (j.id, j)).collect();
-    jobs.map(|id| {
-        let target = by_id[&id];
-        // Jobs arriving strictly after `target` are deleted; simultaneous
-        // arrivals with smaller id are "earlier" per the trace order.
-        let prefix: Vec<Job> = trace
-            .iter()
-            .filter(|j| (j.submit, j.id) <= (target.submit, target.id))
-            .cloned()
-            .collect();
-        let schedule = simulate(&prefix, cfg, &mut NullObserver, SimOptions::new())
-            .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
-        let start = schedule
-            .records
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.start)
-            .expect("target job is in its own prefix");
-        (id, start)
-    })
-    .collect()
 }
 
 fn sabin_fsts_parallel_for(
@@ -369,10 +355,19 @@ mod tests {
         assert_eq!(e3.start, 10);
     }
 
+    /// The `stride`-sampled subset of the full serial FSTs.
+    fn sampled(trace: &[Job], fsts: &HashMap<JobId, Time>, stride: usize) -> HashMap<JobId, Time> {
+        trace
+            .iter()
+            .step_by(stride)
+            .map(|j| (j.id, fsts[&j.id]))
+            .collect()
+    }
+
     #[test]
     fn sampling_scores_a_subset() {
         let trace = random_trace(15, 40, 16, 3000);
-        let fsts = sabin_fsts_sampled(&trace, &cfg(), 4);
+        let fsts = sampled(&trace, &sabin_fsts(&trace, &cfg()), 4);
         assert_eq!(fsts.len(), trace.len().div_ceil(4));
         let schedule = simulate(&trace, &cfg(), &mut NullObserver, SimOptions::new()).unwrap();
         let report = sabin_report(&schedule, &fsts);
@@ -436,11 +431,22 @@ mod tests {
 
     #[test]
     fn parallel_sampled_matches_serial_sampled() {
+        // The warm-start paths that fork a stateful ledger (static
+        // conservative) or a stateful order (FSP) take the same sample.
         let trace = random_trace(27, 70, 16, 4000);
-        let c = cfg();
-        let serial = sabin_fsts_sampled(&trace, &c, 5);
-        let parallel = sabin_fsts_parallel_sampled(&trace, &c, 5, Some(3));
-        assert_eq!(parallel, serial);
+        for engine in [
+            EngineKind::NoGuarantee,
+            EngineKind::Conservative { dynamic: false },
+            EngineKind::Fsp,
+        ] {
+            let c = SimConfig { engine, ..cfg() };
+            assert!(warm_start_supported(&c), "{engine:?}");
+            let serial = sampled(&trace, &sabin_fsts(&trace, &c), 5);
+            for threads in [Some(1), Some(3), Some(4), None] {
+                let parallel = sabin_fsts_parallel_sampled(&trace, &c, 5, threads);
+                assert_eq!(parallel, serial, "{engine:?} threads={threads:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! counters, and a small logging facade. Everything here is designed to be
 //! **zero-cost when off**:
 //!
-//! * Tracing rides an `Option<&SharedSink>` threaded through the simulator
+//! * Tracing rides an `Option<&TraceBuf>` threaded through the simulator
 //!   and engines — untraced runs test one `Option` per emission site and
 //!   otherwise compile to the historical code path. The
 //!   zero-*interference* half of the contract (a traced run produces a
@@ -31,4 +31,4 @@ pub mod trace;
 
 pub use counters::{CounterSnapshot, Histogram, ProfileReport, ProfileScope};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
-pub use trace::{DecisionTracer, SharedSink, StartCause, TraceHandle, TraceRecord, TraceSink};
+pub use trace::{DecisionTracer, StartCause, TraceBuf, TraceRecord, TraceSink};

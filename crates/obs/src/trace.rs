@@ -7,16 +7,17 @@
 //! is [`DecisionTracer`], a bounded ring buffer that keeps the most recent
 //! records and counts what it had to drop.
 //!
-//! Emission sites inside the simulator hold shared (`&`) context, so the
-//! sink travels as a [`SharedSink`] — a `Mutex` around the caller's
-//! `&mut dyn TraceSink`. The simulator is single-threaded per run, so the
-//! lock is uncontended by construction; it exists so a simulator state
-//! (with its trace handle) is `Send` and can be handed to worker threads
-//! by the warm-start fan-out and the sweep watchdog.
+//! Emission sites inside the simulator hold shared (`&`) context, so they
+//! write into a [`TraceBuf`] — an owned, `Mutex`-guarded buffer the driver
+//! drains after every step and forwards to the caller's sink. The
+//! simulator is single-threaded per run, so the lock is uncontended by
+//! construction; it exists so a simulator state (with its trace buffer) is
+//! `Send` and can be handed to worker threads by the warm-start fan-out
+//! and the sweep watchdog.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
@@ -332,56 +333,30 @@ impl TraceSink for DecisionTracer {
     }
 }
 
-/// Shared-reference emission interface, for contexts that only hold `&`.
+/// The owned buffer the simulator emits [`TraceRecord`]s into.
 ///
-/// The simulator hands engines a shared context, so the sink travels as
-/// `Option<&dyn TraceHandle>`: one pointer to test per emission site, and
-/// the lifetime of the underlying `&mut` sink stays erased (trait objects
-/// are covariant in their lifetime bound, so the handle threads through
-/// borrow-stacked contexts without infecting their lifetimes). Handles are
-/// `Sync` so a simulator state holding one is `Send`.
-pub trait TraceHandle: Sync {
-    /// Accepts one record.
-    fn emit(&self, rec: TraceRecord);
-}
+/// Cheaply clonable (clones share storage), so engines emit through a
+/// shared `&TraceBuf` while the simulator that owns it stays `'static` and
+/// `Send` — it can live inside a long-running service or cross threads.
+/// The driver [`drain`](TraceBuf::drain)s it after every step, preserving
+/// emission order.
+#[derive(Debug, Clone, Default)]
+pub struct TraceBuf(Arc<Mutex<Vec<TraceRecord>>>);
 
-/// A [`TraceSink`] shareable through `&`-only contexts.
-///
-/// The engine context is handed to engines by shared reference, so the
-/// sink inside it needs interior mutability. The simulation is
-/// single-threaded per run and never emits while already emitting, so the
-/// `Mutex` is uncontended; it (rather than a `RefCell`) makes the handle
-/// `Sync`, which is what lets a simulator state cross threads.
-pub struct SharedSink<'a> {
-    inner: Mutex<&'a mut dyn TraceSink>,
-}
-
-impl<'a> SharedSink<'a> {
-    /// Wraps a caller-owned sink for the duration of one simulation.
-    pub fn new(sink: &'a mut dyn TraceSink) -> Self {
-        SharedSink {
-            inner: Mutex::new(sink),
-        }
+impl TraceBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Forwards one record to the wrapped sink.
-    pub fn record(&self, rec: TraceRecord) {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record(rec);
+    /// Appends one record.
+    pub fn emit(&self, rec: TraceRecord) {
+        self.0.lock().expect("trace buffer poisoned").push(rec);
     }
-}
 
-impl TraceHandle for SharedSink<'_> {
-    fn emit(&self, rec: TraceRecord) {
-        self.record(rec);
-    }
-}
-
-impl std::fmt::Debug for SharedSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SharedSink")
+    /// Takes every record emitted since the previous drain, in order.
+    pub fn drain(&self) -> Vec<TraceRecord> {
+        std::mem::take(&mut self.0.lock().expect("trace buffer poisoned"))
     }
 }
 
@@ -457,14 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_sink_forwards_through_shared_refs() {
-        let mut tracer = DecisionTracer::unbounded();
-        {
-            let shared = SharedSink::new(&mut tracer);
-            let shared_ref = &shared;
-            shared_ref.record(started(1, 1));
-            shared_ref.record(started(2, 2));
-        }
-        assert_eq!(tracer.len(), 2);
+    fn trace_buf_collects_through_shared_clones() {
+        let buf = TraceBuf::new();
+        let clone = buf.clone();
+        let shared_ref = &clone;
+        shared_ref.emit(started(1, 1));
+        buf.emit(started(2, 2));
+        let ats: Vec<Time> = buf.drain().iter().map(|r| r.at()).collect();
+        assert_eq!(ats, vec![1, 2]);
+        assert!(clone.drain().is_empty(), "a drain empties every clone");
     }
 }

@@ -1,50 +1,43 @@
-//! Load-tests `fairschedd` over real HTTP with concurrent submitters,
-//! and measures what observing the daemon costs.
+//! The `fairschedd` acceptance load test: concurrent submitters over
+//! real HTTP, with a `/metrics` scraper polling the whole run.
 //!
 //! ```text
 //! served_loadtest [--submitters N] [--jobs N] [--sessions N]
 //!                 [--policy ID] [--nodes N] [--epochs N] [--seed N]
-//!                 [--scrape-ms N] [--port-file PATH] [--out BENCH_9.json]
+//!                 [--port-file PATH] [--out PATH]
 //! ```
 //!
-//! Runs the same epoch-fenced replay **twice** against fresh daemons:
-//! once bare (no scraper — the throughput baseline), then once with a
-//! scraper thread polling `GET /metrics` every `--scrape-ms` for the
-//! whole run, the way a Prometheus agent would. Both phases must
-//! reproduce the batch schedule byte-for-byte; the report records
-//! steps/sec for each phase and the scrape overhead as a percentage.
+//! Runs one epoch-fenced replay against a fresh daemon while a scraper
+//! thread polls `GET /metrics` every [`SCRAPE_INTERVAL`], the way a
+//! Prometheus agent would. It times nothing: `fsbench` is the benchmark.
 //!
 //! With `--sessions N` the workload splits round-robin across N named
 //! sessions hosted by the same daemon — every session runs its share
 //! concurrently and must independently reproduce the batch simulation of
 //! that share, which is the multi-tenant isolation property.
 //!
-//! Submit latency percentiles come from the daemon's own exposition —
-//! the `/v1/jobs` route histogram scraped at the end of the scrape-on
-//! phase — not from client-side stopwatches, so the numbers are the ones
-//! a dashboard would show (session-scoped submits collapse onto the same
-//! route label).
+//! The replay goes through `--submitters` concurrent keep-alive HTTP
+//! clients under manual clocks with epoch fences: every submitter posts
+//! its share of an epoch's jobs, all threads meet at the epoch gate, then
+//! the coordinator grants every session simulated time up to just below
+//! the next epoch — so no submitter can ever race a clock into a
+//! non-monotonic rejection, and the grant order keeps each session
+//! byte-equivalent to the batch simulation of its share.
 //!
-//! Each phase replays the workload through `--submitters` concurrent
-//! keep-alive HTTP clients under manual clocks with epoch fences:
-//! every submitter posts its share of an epoch's jobs, all threads meet
-//! at the epoch gate, then the coordinator grants every session simulated
-//! time up to just below the next epoch — so no submitter can ever race
-//! a clock into a non-monotonic rejection, and the grant order keeps
-//! each session byte-equivalent to the batch simulation of its share,
-//! which this binary asserts.
-//!
-//! `--port-file` (scrape-on phase only) publishes the daemon's port so
-//! an external probe — the CI smoke check — can curl `/metrics` mid-run.
+//! `--port-file` publishes the daemon's port so an external probe (a CI
+//! smoke check) can curl `/metrics` mid-run. The JSON report always goes
+//! to stderr, and also to `--out` when given.
 //!
 //! Exits nonzero on any lost submission (reporting how many were lost),
 //! schedule divergence from batch, empty trace stream, dropped trace
-//! lines, or unclean shutdown. No wait is unbounded: the epoch gate gives
-//! up after [`EPOCH_TIMEOUT`], and a submitter whose request fails leaves
-//! the gate instead of stranding the others.
+//! lines, a failed scrape, an unparseable final exposition, an empty
+//! `/v1/jobs` latency histogram, or unclean shutdown. No wait is
+//! unbounded: the epoch gate gives up after [`EPOCH_TIMEOUT`], and a
+//! submitter whose request fails leaves the gate instead of stranding
+//! the others.
 
 use fairsched_core::policy::PolicySpec;
-use fairsched_obs::registry::{parse_exposition, quantile_from_buckets, Sample};
+use fairsched_obs::registry::parse_exposition;
 use fairsched_served::api::SessionSpec;
 use fairsched_served::clock::ClockMode;
 use fairsched_served::session::SessionConfig;
@@ -53,13 +46,15 @@ use fairsched_sim::{simulate, NullObserver, Schedule, SimOptions};
 use fairsched_workload::job::Job;
 use fairsched_workload::time::Time;
 use fairsched_workload::CplantModel;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Longest anyone waits at the epoch gate before the run is abandoned.
 const EPOCH_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// How often the scraper polls `/metrics`.
+const SCRAPE_INTERVAL: Duration = Duration::from_millis(25);
 
 struct Args {
     submitters: usize,
@@ -69,9 +64,8 @@ struct Args {
     nodes: u32,
     epochs: usize,
     seed: u64,
-    scrape_ms: u64,
     port_file: Option<String>,
-    out: String,
+    out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -83,9 +77,8 @@ fn parse_args() -> Args {
         nodes: 1024,
         epochs: 8,
         seed: 8,
-        scrape_ms: 25,
         port_file: None,
-        out: "BENCH_9.json".into(),
+        out: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -103,9 +96,8 @@ fn parse_args() -> Args {
             "--nodes" => parsed.nodes = value().parse().unwrap(),
             "--epochs" => parsed.epochs = value().parse().unwrap(),
             "--seed" => parsed.seed = value().parse().unwrap(),
-            "--scrape-ms" => parsed.scrape_ms = value().parse().unwrap(),
             "--port-file" => parsed.port_file = Some(value()),
-            "--out" => parsed.out = value(),
+            "--out" => parsed.out = Some(value()),
             other => {
                 eprintln!("served_loadtest: unknown flag {other}");
                 std::process::exit(2);
@@ -117,45 +109,14 @@ fn parse_args() -> Args {
         parsed.sessions >= 1 && parsed.sessions <= parsed.submitters,
         "--sessions must be between 1 and --submitters"
     );
-    assert!(parsed.scrape_ms >= 1, "--scrape-ms must be positive");
     parsed
 }
 
-/// One phase's outcome: how fast the daemon stepped, and (scrape-on
-/// phase) the final exposition text the quantiles are read from.
-struct PhaseOutcome {
-    wall: Duration,
+/// What the run observed, for the report.
+struct Outcome {
     steps: u64,
     scrapes: u64,
     trace_lines: usize,
-    final_metrics: Option<String>,
-}
-
-impl PhaseOutcome {
-    fn steps_per_sec(&self) -> f64 {
-        self.steps as f64 / self.wall.as_secs_f64()
-    }
-}
-
-/// The cumulative `(le, count)` pairs of one route's latency histogram,
-/// ready for [`quantile_from_buckets`].
-fn latency_buckets(samples: &[Sample], route: &str) -> Vec<(f64, u64)> {
-    let mut buckets: Vec<(f64, u64)> = samples
-        .iter()
-        .filter(|s| s.name == "fairschedd_http_request_duration_ns_bucket")
-        .filter(|s| s.label("route") == Some(route))
-        .filter_map(|s| {
-            let le = s.label("le")?;
-            let bound = if le == "+Inf" {
-                f64::INFINITY
-            } else {
-                le.parse().ok()?
-            };
-            Some((bound, s.value as u64))
-        })
-        .collect();
-    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-    buckets
 }
 
 /// The epoch fence between the submitters and the coordinator: every
@@ -263,12 +224,7 @@ fn session_client(base: &Client, s: usize) -> Client {
     }
 }
 
-fn run_phase(
-    args: &Args,
-    shares: &[Vec<Job>],
-    batches: &[Schedule],
-    scrape: bool,
-) -> Result<PhaseOutcome, String> {
+fn run(args: &Args, shares: &[Vec<Job>], batches: &[Schedule]) -> Result<Outcome, String> {
     let total_jobs: usize = shares.iter().map(Vec::len).sum();
     let mut daemon = Daemon::start(
         "127.0.0.1:0",
@@ -283,15 +239,12 @@ fn run_phase(
     )
     .expect("daemon start");
     let addr = daemon.addr();
-    let phase = if scrape { "scrape-on" } else { "baseline" };
     eprintln!(
-        "served_loadtest[{phase}]: daemon on {addr}, {} jobs, {} submitters, {} sessions, {} epochs",
+        "served_loadtest: daemon on {addr}, {} jobs, {} submitters, {} sessions, {} epochs",
         total_jobs, args.submitters, args.sessions, args.epochs
     );
-    if scrape {
-        if let Some(path) = &args.port_file {
-            std::fs::write(path, format!("{}\n", addr.port())).expect("write port file");
-        }
+    if let Some(path) = &args.port_file {
+        std::fs::write(path, format!("{}\n", addr.port())).expect("write port file");
     }
 
     let coordinator = Client::new(addr);
@@ -322,29 +275,24 @@ fn run_phase(
     let trace_client = Client::new(addr);
     let trace_thread = std::thread::spawn(move || trace_client.trace_capture());
 
-    // The scraper: a Prometheus-shaped poller hammering /metrics for the
-    // whole run. Its last successful scrape is the quantile source.
-    let scraping = Arc::new(AtomicBool::new(scrape));
-    let scraper = scrape.then(|| {
+    // The scraper: a Prometheus-shaped poller hitting /metrics for the
+    // whole run. Any failed scrape fails the run.
+    let scraping = Arc::new(AtomicBool::new(true));
+    let scraper = {
         let scraping = Arc::clone(&scraping);
         let client = Client::new(addr);
-        let interval = Duration::from_millis(args.scrape_ms);
-        std::thread::spawn(move || {
+        std::thread::spawn(move || -> Result<u64, String> {
             let mut scrapes = 0u64;
-            let mut last = String::new();
             while scraping.load(Ordering::Relaxed) {
-                match client.metrics_text() {
-                    Ok(text) => {
-                        scrapes += 1;
-                        last = text;
-                    }
-                    Err(e) => panic!("mid-run scrape failed: {e}"),
-                }
-                std::thread::sleep(interval);
+                client
+                    .metrics_text()
+                    .map_err(|e| format!("mid-run scrape failed: {e}"))?;
+                scrapes += 1;
+                std::thread::sleep(SCRAPE_INTERVAL);
             }
-            (scrapes, last)
+            Ok(scrapes)
         })
-    });
+    };
 
     // Submitter i serves session i % sessions; within a session's
     // submitter group the share splits round-robin by rank.
@@ -367,7 +315,6 @@ fn run_phase(
 
     let gate = Arc::new(EpochGate::new(args.submitters));
     let bounds = Arc::new(bounds);
-    let started = Instant::now();
     let workers: Vec<_> = worker_shares
         .into_iter()
         .map(|(s, share)| {
@@ -458,19 +405,22 @@ fn run_phase(
             "session {s}: online schedule diverged from the batch reference"
         );
     }
-    let wall = started.elapsed();
 
-    // Stop the scraper *after* seal so its final scrape sees the full
-    // request history, then take one authoritative post-seal scrape.
-    let (scrapes, final_metrics) = match scraper {
-        Some(handle) => {
-            scraping.store(false, Ordering::Relaxed);
-            let (scrapes, _) = handle.join().expect("scraper panicked");
-            let text = coordinator.metrics_text().expect("final scrape");
-            (scrapes, Some(text))
-        }
-        None => (0, None),
-    };
+    // Stop the scraper *after* seal, then take one post-seal scrape: the
+    // full request history must parse and show the submissions.
+    scraping.store(false, Ordering::Relaxed);
+    let scrapes = scraper.join().expect("scraper thread")?;
+    assert!(scrapes > 0, "the scraper never scraped");
+    let exposition = coordinator.metrics_text().expect("final scrape");
+    let samples = parse_exposition(&exposition).expect("daemon exposition must parse");
+    assert!(
+        samples.iter().any(|s| {
+            s.name == "fairschedd_http_request_duration_ns_bucket"
+                && s.label("route") == Some("/v1/jobs")
+                && s.value > 0.0
+        }),
+        "/v1/jobs latency histogram is empty after {total_jobs} submissions"
+    );
 
     coordinator.shutdown().expect("shutdown");
     daemon.shutdown();
@@ -492,12 +442,10 @@ fn run_phase(
         "daemon dropped trace lines on a healthy reader"
     );
 
-    Ok(PhaseOutcome {
-        wall,
+    Ok(Outcome {
         steps,
         scrapes,
         trace_lines: trace_lines.len(),
-        final_metrics,
     })
 }
 
@@ -544,32 +492,10 @@ fn main() {
         })
         .collect();
 
-    let run = |scrape| {
-        run_phase(&args, &shares, &batches, scrape).unwrap_or_else(|e| {
-            eprintln!("served_loadtest: {e}");
-            std::process::exit(1);
-        })
-    };
-    let baseline = run(false);
-    let scraped = run(true);
-    assert!(scraped.scrapes > 0, "scrape phase never scraped");
-
-    let exposition = scraped
-        .final_metrics
-        .as_deref()
-        .expect("scrape phase kept its final exposition");
-    let samples = parse_exposition(exposition).expect("daemon exposition must parse");
-    let submit_buckets = latency_buckets(&samples, "/v1/jobs");
-    assert!(
-        submit_buckets.iter().any(|&(_, n)| n > 0),
-        "/v1/jobs latency histogram is empty after {} submissions",
-        jobs.len()
-    );
-    let q = |p: f64| quantile_from_buckets(&submit_buckets, p) / 1e3;
-    let scrape_buckets = latency_buckets(&samples, "/metrics");
-    let scrape_p50_us = quantile_from_buckets(&scrape_buckets, 0.50) / 1e3;
-
-    let overhead_percent = (1.0 - scraped.steps_per_sec() / baseline.steps_per_sec()) * 100.0;
+    let outcome = run(&args, &shares, &batches).unwrap_or_else(|e| {
+        eprintln!("served_loadtest: {e}");
+        std::process::exit(1);
+    });
     let report = format!(
         concat!(
             "{{\n",
@@ -581,24 +507,7 @@ fn main() {
             "  \"sessions\": {},\n",
             "  \"epochs\": {},\n",
             "  \"steps\": {},\n",
-            "  \"baseline\": {{\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"steps_per_sec\": {:.1}\n",
-            "  }},\n",
-            "  \"scrape_on\": {{\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"steps_per_sec\": {:.1},\n",
-            "    \"scrape_interval_ms\": {},\n",
-            "    \"scrapes\": {},\n",
-            "    \"scrape_p50_us\": {:.1}\n",
-            "  }},\n",
-            "  \"scrape_overhead_percent\": {:.2},\n",
-            "  \"submit_latency_us\": {{\n",
-            "    \"source\": \"/metrics histogram, route /v1/jobs\",\n",
-            "    \"p50\": {:.1},\n",
-            "    \"p95\": {:.1},\n",
-            "    \"p99\": {:.1}\n",
-            "  }},\n",
+            "  \"scrapes\": {},\n",
             "  \"trace_lines\": {},\n",
             "  \"schedule_matches_batch\": true\n",
             "}}\n"
@@ -609,25 +518,15 @@ fn main() {
         args.submitters,
         args.sessions,
         args.epochs.min(jobs.len()),
-        scraped.steps,
-        baseline.wall.as_secs_f64() * 1e3,
-        baseline.steps_per_sec(),
-        scraped.wall.as_secs_f64() * 1e3,
-        scraped.steps_per_sec(),
-        args.scrape_ms,
-        scraped.scrapes,
-        scrape_p50_us,
-        overhead_percent,
-        q(0.50),
-        q(0.95),
-        q(0.99),
-        scraped.trace_lines,
+        outcome.steps,
+        outcome.scrapes,
+        outcome.trace_lines,
     );
-    std::fs::File::create(&args.out)
-        .and_then(|mut f| f.write_all(report.as_bytes()))
-        .unwrap_or_else(|e| {
-            eprintln!("served_loadtest: cannot write {}: {e}", args.out);
+    if let Some(out) = &args.out {
+        std::fs::write(out, &report).unwrap_or_else(|e| {
+            eprintln!("served_loadtest: cannot write {out}: {e}");
             std::process::exit(1);
         });
+    }
     eprintln!("served_loadtest: ok — {report}");
 }

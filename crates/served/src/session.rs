@@ -44,11 +44,9 @@ use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{
-    sync_channel, Receiver, RecvError, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
-use std::sync::{Arc, Mutex, TryLockError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a [`Session`] is configured.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +117,6 @@ impl TraceSubscription {
 struct Inner {
     core: Option<SteppedSim>,
     clock: VirtualClock,
-    accepted: HashMap<JobId, Time>,
     completed: Vec<JobRecord>,
     started: HashMap<JobId, Time>,
     submissions: HashMap<JobId, SubmitRequest>,
@@ -187,7 +184,6 @@ impl Session {
             inner: Mutex::new(Inner {
                 core: Some(core),
                 clock: VirtualClock::new(cfg.clock),
-                accepted: HashMap::new(),
                 completed: Vec::new(),
                 started: HashMap::new(),
                 submissions: HashMap::new(),
@@ -253,45 +249,31 @@ impl Session {
     /// ids at the boundary; journals and fsyncs before returning. The
     /// request joins the pending queue and whichever submitter holds the
     /// session mutex processes the whole queue — one lock acquisition and
-    /// one journal fsync for the entire batch. Under contention this is
-    /// what keeps 1000 concurrent submitters off the lock; without
-    /// contention the batch is just this request.
+    /// one journal fsync for the entire batch. Under contention the
+    /// submitters queued behind the lock find their replies already sent
+    /// and return at once; without contention the batch is just this
+    /// request.
     pub fn submit_batched(&self, req: &SubmitRequest) -> Result<SubmitResponse, ServeError> {
         let (tx, rx) = sync_channel(1);
         self.pending_lock().push_back((req.clone(), tx));
-        loop {
-            // The batch we joined may already have been processed by the
-            // current combiner; check before competing for the lock.
-            match rx.try_recv() {
-                Ok(result) => return result,
-                Err(TryRecvError::Disconnected) => {
-                    return Err(ServeError::Io("submission batch dropped".into()))
-                }
-                Err(TryRecvError::Empty) => {}
-            }
-            match self.inner.try_lock() {
-                Ok(mut inner) => self.drain_pending(&mut inner),
-                Err(TryLockError::Poisoned(p)) => self.drain_pending(&mut p.into_inner()),
-                // Someone else is combining; they will (probably) take
-                // our request with them. Wait briefly, then re-check in
-                // case our push raced past their final drain.
-                Err(TryLockError::WouldBlock) => {}
-            }
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(result) => return result,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ServeError::Io("submission batch dropped".into()))
-                }
-            }
+        let mut inner = self.lock();
+        // A combiner answers its whole batch before releasing the lock, so
+        // either our reply is already here or our request is still queued
+        // and we drain it ourselves.
+        if let Ok(result) = rx.try_recv() {
+            return result;
         }
+        self.drain_pending(&mut inner);
+        drop(inner);
+        rx.recv()
+            .unwrap_or_else(|_| Err(ServeError::Io("submission batch dropped".into())))
     }
 
     /// Processes every queued submission while holding the session lock
     /// (the flat-combining step), then commits the journal once and
-    /// answers every submitter. Loops until the queue stays empty so
-    /// requests pushed mid-batch are not stranded behind a lock no one
-    /// holds.
+    /// answers every submitter. Loops until the queue stays empty, so
+    /// requests pushed mid-batch are served by this holder rather than
+    /// each waiting its turn for the lock.
     fn drain_pending(&self, inner: &mut Inner) {
         loop {
             let batch: Vec<PendingSubmit> = self.pending_lock().drain(..).collect();
@@ -330,7 +312,7 @@ impl Session {
                 granted,
             });
         }
-        if inner.accepted.contains_key(&id) {
+        if inner.submissions.contains_key(&id) {
             return Err(ServeError::DuplicateId { job: id });
         }
         let job = req.to_job();
@@ -351,7 +333,6 @@ impl Session {
             Err(e) => return Err(e.into()),
         };
         inner.steps += 1;
-        inner.accepted.insert(id, req.submit);
         inner.submissions.insert(id, req.clone());
         if let Some(journal) = inner.journal.as_mut() {
             match journal.append_submit(req) {
@@ -553,7 +534,7 @@ impl Session {
             running,
             free,
             down,
-            accepted: inner.accepted.len() as u64,
+            accepted: inner.submissions.len() as u64,
             completed: inner.completed.len() as u64,
             next_event,
             sealed: inner.core.is_none(),
@@ -806,6 +787,9 @@ mod tests {
 
     #[test]
     fn batched_submissions_match_the_batch_simulation() {
+        use crate::journal::{journal_path, replay, JournalEvent};
+        use std::collections::HashSet;
+
         // 64 submitters race through the flat-combining path; the sealed
         // schedule must equal the batch simulation of the same jobs (the
         // core's event queue is insertion-order independent, and every
@@ -827,18 +811,40 @@ mod tests {
         let cfg = spec.sim_config(32);
         let batch = simulate(&jobs, &cfg, &mut NO, SimOptions::new()).unwrap();
 
+        let dir = std::env::temp_dir()
+            .join("fairsched-served-session-tests")
+            .join("batched");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let session = Arc::new(manual_session("easy.nomax"));
+        session.attach_journal(SessionJournal::create(&dir, "default", session.config()).unwrap());
         let handles: Vec<_> = jobs
             .iter()
             .map(|job| {
                 let session = Arc::clone(&session);
                 let req = SubmitRequest::from_job(job);
-                std::thread::spawn(move || session.submit_batched(&req).unwrap())
+                std::thread::spawn(move || session.submit_batched(&req).unwrap().id)
             })
             .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
+        let acked: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // Acked implies journaled, however the submitters raced: every
+        // acknowledged id is already on disk, batched into at most one
+        // fsync per submission.
+        let recovered = replay(&journal_path(&dir, "default"))
+            .unwrap()
+            .expect("journal has a header");
+        let journaled: HashSet<u32> = recovered
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                JournalEvent::Submit(r) => Some(r.id),
+                _ => None,
+            })
+            .collect();
+        assert!(acked.iter().all(|id| journaled.contains(id)));
+        assert_eq!(journaled.len(), jobs.len());
+        let batches = session.metrics().journal_batches.value();
+        assert!((1..=64).contains(&batches), "{batches} journal batches");
         let summary = session.seal().unwrap();
         assert_eq!(summary.records, batch.records.len() as u64);
         assert_eq!(summary.schedule_fnv, schedule_fingerprint(&batch));

@@ -9,10 +9,10 @@
 //! invokes it from [`ReservationLedger::select`](super::ReservationLedger::select).
 
 use super::{Admission, EngineCtx, QueueOrderStrategy, ReservationLedger};
-use fairsched_obs::{counters, StartCause, TraceHandle, TraceRecord};
+use fairsched_obs::{counters, StartCause, TraceBuf, TraceRecord};
 use fairsched_workload::job::JobId;
 
-fn emit_start(trace: Option<&dyn TraceHandle>, ctx: &EngineCtx<'_>, i: usize, cause: StartCause) {
+fn emit_start(trace: Option<&TraceBuf>, ctx: &EngineCtx<'_>, i: usize, cause: StartCause) {
     if let Some(t) = trace {
         let job = &ctx.queue[i];
         t.emit(TraceRecord::JobStarted {

@@ -24,7 +24,7 @@ use crate::config::{EngineKind, QueueOrder, StarvationConfig};
 use crate::fairshare::FairshareTracker;
 use crate::faults::Outage;
 use crate::state::{priority_order, QueuedJob, RunningJob};
-use fairsched_obs::TraceHandle;
+use fairsched_obs::TraceBuf;
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 
@@ -76,7 +76,7 @@ pub struct EngineCtx<'a> {
     /// emit `JobStarted`/`ReservationMade`/`ReservationShifted` records
     /// through it; emission must never influence decisions (a traced run's
     /// schedule is byte-identical to an untraced one — proptest-pinned).
-    pub trace: Option<&'a dyn TraceHandle>,
+    pub trace: Option<&'a TraceBuf>,
 }
 
 impl EngineCtx<'_> {

@@ -658,17 +658,17 @@ mod tests {
     #[test]
     fn inversions_are_traced_once_per_pair() {
         let fs = fs();
-        let mut sink: Vec<TraceRecord> = Vec::new();
-        let shared = fairsched_obs::SharedSink::new(&mut sink);
+        let buf = fairsched_obs::TraceBuf::new();
         let queue = vec![
             queued(1, 1, 8, 1000, 0), // arrival head, big virtual size
             queued(2, 2, 1, 10, 5),   // virtual head
         ];
         let mut fsp = VirtualFairOrder::fsp();
         let mut c = ctx(5, 10, &[], &queue, &fs);
-        c.trace = Some(&shared);
+        c.trace = Some(&buf);
         fsp.begin_pass(&c);
         fsp.begin_pass(&c); // same pair: no duplicate record
+        let sink = buf.drain();
         assert_eq!(sink.len(), 1);
         match &sink[0] {
             TraceRecord::VirtualInversion { job, displaced, .. } => {

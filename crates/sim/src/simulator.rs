@@ -33,7 +33,7 @@ use crate::starvation::starving_jobs;
 use crate::state::{ArrivalView, Observer, QueuedJob, RunningJob};
 use fairsched_cpa::alloc::AllocId;
 use fairsched_cpa::{frag, Allocator, CountingAllocator, LinearAllocator};
-use fairsched_obs::{counters, TraceHandle, TraceRecord, TraceSink};
+use fairsched_obs::{counters, TraceBuf, TraceRecord, TraceSink};
 use fairsched_workload::job::{GroupId, Job, JobId, UserId};
 use fairsched_workload::time::{Time, WEEK};
 use std::collections::{HashMap, HashSet};
@@ -586,7 +586,7 @@ pub(crate) struct Sim {
     // them as effects). Emission never feeds back into scheduling;
     // `promoted` only dedupes StarvationPromoted records and is touched
     // only while tracing.
-    trace: Option<crate::step::TraceBuf>,
+    trace: Option<TraceBuf>,
     promoted: HashSet<JobId>,
     // Cooperative cancellation (None on unguarded runs — the default).
     // Checked once per event batch, so a fired token stops the run within
@@ -795,7 +795,7 @@ impl Sim {
     /// Attaches (or detaches) the owned trace buffer records are emitted
     /// into. Set before the first step; the stepped core drains it into
     /// `Effect::Trace` values.
-    pub(crate) fn set_trace(&mut self, trace: Option<crate::step::TraceBuf>) {
+    pub(crate) fn set_trace(&mut self, trace: Option<TraceBuf>) {
         self.trace = trace;
     }
 
@@ -1410,7 +1410,7 @@ fn engine_ctx(sim: &Sim) -> EngineCtx<'_> {
         order: sim.cfg.order,
         starvation: sim.cfg.starvation.as_ref(),
         outages: &sim.outages,
-        trace: sim.trace.as_ref().map(|t| t as &dyn TraceHandle),
+        trace: sim.trace.as_ref(),
     }
 }
 

@@ -24,36 +24,9 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::simulator::{validate_config, CancelToken, JobRecord, Schedule, Sim, SimError};
 use crate::state::Observer;
-use fairsched_obs::{TraceHandle, TraceRecord};
+use fairsched_obs::{TraceBuf, TraceRecord};
 use fairsched_workload::job::{Job, JobId};
 use fairsched_workload::time::Time;
-use std::sync::{Arc, Mutex};
-
-/// An owned, cheaply clonable trace buffer the simulator emits
-/// [`TraceRecord`]s into. Unlike the borrowed [`TraceHandle`] wiring the
-/// batch API historically used, this owns its storage, so a [`SteppedSim`]
-/// is `'static` and can live inside a long-running service. The driver
-/// drains it after every granted step and surfaces the records as
-/// [`Effect::Trace`] values, preserving emission order.
-#[derive(Clone, Default)]
-pub(crate) struct TraceBuf(Arc<Mutex<Vec<TraceRecord>>>);
-
-impl TraceBuf {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes every record emitted since the previous drain, in order.
-    pub(crate) fn drain(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.0.lock().expect("trace buffer poisoned"))
-    }
-}
-
-impl TraceHandle for TraceBuf {
-    fn emit(&self, rec: TraceRecord) {
-        self.0.lock().expect("trace buffer poisoned").push(rec);
-    }
-}
 
 /// One typed input to the stepped core.
 #[derive(Debug, Clone)]
