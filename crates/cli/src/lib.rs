@@ -29,7 +29,7 @@ use fairsched_core::runner::{try_run_policy, try_run_policy_traced, RunOptions};
 use fairsched_core::sweep::try_run_policies;
 use fairsched_core::{run_sweep, FaultPoint, SweepConfig, SweepPlan};
 use fairsched_metrics::explain::{explain_wait, worst_miss};
-use fairsched_metrics::fairness::peruser::heavy_vs_light_miss;
+use fairsched_metrics::fairness::peruser::{heavy_vs_light_miss, per_user};
 use fairsched_obs::registry::{parse_exposition, quantile_from_buckets};
 use fairsched_obs::{log, DecisionTracer};
 use fairsched_served::daemon::{serve, ServeArgs};
@@ -735,32 +735,29 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
         } => {
             let (jobs, mut out) = load_trace(&trace, nodes)?;
             let spec = lookup(&policy)?;
-            let opts = RunOptions {
-                per_user: true,
-                ..Default::default()
-            };
-            let run = try_run_policy(&jobs, &spec, nodes, &opts)?;
-            let users = run.per_user.expect("requested in RunOptions");
+            let outcome = try_run_policy(&jobs, &spec, nodes, &RunOptions::default())?.outcome;
+            let users = per_user(&outcome.schedule, &outcome.fairness);
             writeln!(
                 out,
                 "per-user fairness under {} ({} users):",
-                run.outcome.policy,
+                outcome.policy,
                 users.len()
             )?;
             writeln!(
                 out,
-                "{:<8} {:>6} {:>14} {:>9} {:>13}",
-                "user", "jobs", "proc-hours", "unfair%", "mean miss(s)"
+                "{:<8} {:>6} {:>14} {:>9} {:>13} {:>10}",
+                "user", "jobs", "proc-hours", "unfair%", "mean miss(s)", "wait(s)"
             )?;
             for u in users.iter().take(15) {
                 writeln!(
                     out,
-                    "{:<8} {:>6} {:>14.0} {:>8.1}% {:>13.0}",
+                    "{:<8} {:>6} {:>14.0} {:>8.1}% {:>13.0} {:>10.0}",
                     u.user.to_string(),
                     u.jobs,
                     u.proc_seconds / 3600.0,
                     100.0 * u.percent_unfair(),
                     u.mean_miss(),
+                    u.mean_wait,
                 )?;
             }
             let (heavy, light) = heavy_vs_light_miss(&users, 0.1);
@@ -1323,6 +1320,7 @@ mod tests {
         })
         .unwrap();
         assert!(audit.contains("per-user fairness"));
+        assert!(audit.contains("wait(s)"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -57,4 +57,4 @@ pub use runner::{
 pub use sweep::grid::{cell_fault_seed, FaultPoint, SweepPlan};
 pub use sweep::journal::{CellRow, CellStatus, JournalReplay, JournalWriter};
 pub use sweep::run::{run_sweep, GridState, SweepConfig, SweepSummary};
-pub use sweep::{try_run_policies, try_run_policies_with, SweepError};
+pub use sweep::{try_run_policies, SweepError};

@@ -1,24 +1,23 @@
 //! Run one (trace, policy) pair and collect everything the paper reports.
 //!
 //! [`try_run_policy`] is the single entry point: a [`RunOptions`] selects
-//! the fault model and which optional reports to collect, and **one**
-//! simulation feeds every requested metric (the hybrid-FST and equality
-//! observers share the run through an `ObserverSet`; the per-user and
-//! resilience reports are pure folds over its results). The historical
-//! [`run_policy`] convenience is a thin panicking wrapper over it.
+//! the fault model, profiling and cancellation, and **one** simulation
+//! with the hybrid-FST observer attached yields a [`PolicyOutcome`]. The
+//! per-user, equality and resilience reports are plain functions of that
+//! outcome ([`per_user`](fairsched_metrics::fairness::peruser::per_user),
+//! [`equality_report`](fairsched_metrics::fairness::equality::equality_report),
+//! [`PolicyOutcome::resilience`]). The historical [`run_policy`]
+//! convenience is a thin panicking wrapper over it.
 
 use crate::policy::PolicySpec;
-use fairsched_metrics::fairness::equality::{EqualityObserver, EqualityReport};
 use fairsched_metrics::fairness::fst::FstReport;
 use fairsched_metrics::fairness::hybrid::HybridFstObserver;
-use fairsched_metrics::fairness::peruser::{per_user, UserFairness};
 use fairsched_metrics::fairness::resilience::ResilienceReport;
 use fairsched_metrics::user;
 use fairsched_obs::counters::{CounterSnapshot, ProfileReport, ProfileScope};
 use fairsched_obs::TraceSink;
 use fairsched_sim::{
-    simulate, CancelToken, FaultConfig, ObserverSet, OriginalOutcome, Schedule, SimError,
-    SimOptions,
+    simulate, CancelToken, FaultConfig, OriginalOutcome, Schedule, SimError, SimOptions,
 };
 use fairsched_workload::categories::WIDTH_BUCKETS;
 use fairsched_workload::job::Job;
@@ -81,22 +80,12 @@ impl PolicyOutcome {
     }
 }
 
-/// What [`try_run_policy`] should collect from its single simulation, and
-/// under which fault model.
-///
-/// The hybrid fairness report and schedule are always collected; each flag
-/// adds one more report to the returned [`PolicyRun`] without adding a
-/// second simulation.
+/// How [`try_run_policy`] runs its single simulation: under which fault
+/// model, whether to profile it, and whether it can be cancelled.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault model for the run (default: all fault sources off).
     pub faults: FaultConfig,
-    /// Collect the per-user fairness audit.
-    pub per_user: bool,
-    /// Collect the resource-equality report.
-    pub equality: bool,
-    /// Collect the interrupted-vs-clean resilience split.
-    pub resilience: bool,
     /// Collect a [`ProfileReport`] of where the run's time went. Counters
     /// are process-wide, so a profiled run in a parallel sweep also
     /// absorbs the other workers' activity — profile one run at a time
@@ -109,46 +98,26 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Options with a fault model and no optional reports.
+    /// Options with a fault model, unprofiled and uncancellable.
     pub fn with_faults(faults: FaultConfig) -> Self {
         RunOptions {
             faults,
             ..Default::default()
         }
     }
-
-    /// Options collecting every report the workspace defines.
-    pub fn everything() -> Self {
-        RunOptions {
-            faults: FaultConfig::default(),
-            per_user: true,
-            equality: true,
-            resilience: true,
-            profile: true,
-            cancel: None,
-        }
-    }
 }
 
-/// Everything one [`try_run_policy`] simulation produced: the always-on
-/// [`PolicyOutcome`] plus whichever optional reports the [`RunOptions`]
-/// requested (absent flags stay `None`).
+/// Everything one [`try_run_policy`] simulation produced.
 #[derive(Debug, Clone)]
 pub struct PolicyRun {
-    /// Schedule plus hybrid fairness report (always collected).
+    /// Schedule plus hybrid fairness report.
     pub outcome: PolicyOutcome,
-    /// Per-user audit rows, heaviest users first (`RunOptions::per_user`).
-    pub per_user: Option<Vec<UserFairness>>,
-    /// Resource-equality report (`RunOptions::equality`).
-    pub equality: Option<EqualityReport>,
-    /// Interrupted-vs-clean split (`RunOptions::resilience`).
-    pub resilience: Option<ResilienceReport>,
     /// Where the run's time went (`RunOptions::profile`).
     pub profile: Option<ProfileReport>,
 }
 
-/// Evaluates one policy on a trace with **one** simulation feeding every
-/// report `opts` requests. Trace or configuration problems come back as a
+/// Evaluates one policy on a trace with **one** simulation, the hybrid
+/// fairness observer attached. Trace or configuration problems come back as a
 /// typed [`SimError`] instead of a panic, so one failing policy never
 /// aborts a multi-policy figure. Deterministic: equal inputs give equal
 /// outcomes.
@@ -180,42 +149,25 @@ pub fn try_run_policy_traced(
     let baseline = opts.profile.then(CounterSnapshot::capture);
     let started = std::time::Instant::now();
     let mut hybrid = HybridFstObserver::new();
-    let mut equality = EqualityObserver::new();
-    let schedule = {
-        let mut observers = ObserverSet::new();
-        observers.push(&mut hybrid);
-        if opts.equality {
-            observers.push(&mut equality);
-        }
-        // The runner's ProfileScope (above) also covers the fairness
-        // scoring after the run.
-        let mut sim_opts = SimOptions::new();
-        if let Some(sink) = sink {
-            sim_opts = sim_opts.trace(sink);
-        }
-        if let Some(cancel) = opts.cancel.clone() {
-            sim_opts = sim_opts.cancel(cancel);
-        }
-        simulate(trace, &cfg, &mut observers, sim_opts)?
-    };
+    let mut sim_opts = SimOptions::new();
+    if let Some(sink) = sink {
+        sim_opts = sim_opts.trace(sink);
+    }
+    if let Some(cancel) = opts.cancel.clone() {
+        sim_opts = sim_opts.cancel(cancel);
+    }
+    let schedule = simulate(trace, &cfg, &mut hybrid, sim_opts)?;
     let fairness = hybrid.into_report();
     let profile = baseline.map(|before| ProfileReport {
         counters: CounterSnapshot::capture().since(&before),
         wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     });
-    let per_user = opts.per_user.then(|| per_user(&schedule, &fairness));
-    let resilience = opts
-        .resilience
-        .then(|| ResilienceReport::split(&fairness, &schedule));
     Ok(PolicyRun {
         outcome: PolicyOutcome {
             policy: policy.id.to_string(),
             schedule,
             fairness,
         },
-        per_user,
-        equality: opts.equality.then(|| equality.into_report()),
-        resilience,
         profile,
     })
 }
@@ -322,55 +274,6 @@ mod tests {
             out.fairness.entries.len()
         );
         assert!(split.goodput > 0.0 && split.goodput <= out.schedule.utilization());
-    }
-
-    #[test]
-    fn single_pass_collection_matches_separate_runs() {
-        use fairsched_metrics::fairness::equality::equality_report;
-        let trace = small_trace();
-        let p = PolicySpec::baseline();
-        let faults = FaultConfig {
-            job_crash_rate: 0.2,
-            seed: 5,
-            ..FaultConfig::default()
-        };
-        let opts = RunOptions {
-            faults: faults.clone(),
-            per_user: true,
-            equality: true,
-            resilience: true,
-            ..RunOptions::default()
-        };
-        let run = try_run_policy(&trace, &p, 1024, &opts).unwrap();
-        // The historical path: one run for the schedule + hybrid report,
-        // then one scoring pass per additional metric.
-        let outcome = run_faulted(&trace, &p, &faults);
-        assert_eq!(run.outcome.schedule, outcome.schedule);
-        assert_eq!(run.outcome.fairness, outcome.fairness);
-        assert_eq!(
-            run.per_user.as_deref().unwrap(),
-            per_user(&outcome.schedule, &outcome.fairness)
-        );
-        assert_eq!(
-            run.equality.as_ref().unwrap(),
-            &equality_report(&outcome.schedule)
-        );
-        assert_eq!(run.resilience.as_ref().unwrap(), &outcome.resilience());
-    }
-
-    #[test]
-    fn unrequested_reports_stay_absent() {
-        let trace = small_trace();
-        let run = try_run_policy(
-            &trace,
-            &PolicySpec::baseline(),
-            1024,
-            &RunOptions::default(),
-        )
-        .unwrap();
-        assert!(run.per_user.is_none());
-        assert!(run.equality.is_none());
-        assert!(run.resilience.is_none());
     }
 
     #[test]

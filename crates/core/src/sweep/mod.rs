@@ -27,7 +27,7 @@ pub mod run;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::policy::PolicySpec;
-use crate::runner::{try_run_policy, PolicyOutcome, PolicyRun, RunOptions};
+use crate::runner::{try_run_policy, PolicyOutcome, RunOptions};
 use fairsched_sim::FaultConfig;
 use fairsched_workload::job::Job;
 
@@ -63,7 +63,7 @@ fn fenced_run(
     policy: &PolicySpec,
     nodes: u32,
     opts: &RunOptions,
-) -> Result<PolicyRun, SweepError> {
+) -> Result<PolicyOutcome, SweepError> {
     // The closure only reads shared data and builds a fresh outcome, so a
     // panic cannot leave broken state visible to the other policies. Most
     // failures arrive as a typed `SimError` from the fallible runner; the
@@ -71,7 +71,7 @@ fn fenced_run(
     match catch_unwind(AssertUnwindSafe(|| {
         try_run_policy(trace, policy, nodes, opts)
     })) {
-        Ok(Ok(run)) => Ok(run),
+        Ok(Ok(run)) => Ok(run.outcome),
         Ok(Err(e)) => Err(SweepError {
             policy: policy.id.to_string(),
             reason: e.to_string(),
@@ -83,17 +83,17 @@ fn fenced_run(
     }
 }
 
-/// Runs each policy on the trace with the full [`RunOptions`] machinery —
-/// one simulation per policy feeds every requested report — in parallel,
-/// preserving input order. A policy that fails (typed simulator error or
-/// panic) yields an `Err` carrying the reason; the remaining policies are
+/// Runs each policy on the trace under `faults`, in parallel, preserving
+/// input order. A policy that fails (typed simulator error or panic)
+/// yields an `Err` carrying the reason; the remaining policies are
 /// unaffected.
-pub fn try_run_policies_with(
+pub fn try_run_policies(
     trace: &[Job],
     policies: &[PolicySpec],
     nodes: u32,
-    opts: &RunOptions,
-) -> Vec<Result<PolicyRun, SweepError>> {
+    faults: &FaultConfig,
+) -> Vec<Result<PolicyOutcome, SweepError>> {
+    let opts = &RunOptions::with_faults(faults.clone());
     // Worker panics are caught and surfaced as `SweepError`s, so the global
     // hook's backtrace would only be stderr noise; silence it for the
     // duration. (Concurrent panics elsewhere in the process would also be
@@ -119,27 +119,6 @@ pub fn try_run_policies_with(
     };
     std::panic::set_hook(prev);
     results
-}
-
-/// Runs each policy on the trace, in parallel, preserving input order.
-/// A policy that fails yields an `Err` carrying the reason; the remaining
-/// policies are unaffected. Convenience form of [`try_run_policies_with`]
-/// that collects only the always-on [`PolicyOutcome`].
-pub fn try_run_policies(
-    trace: &[Job],
-    policies: &[PolicySpec],
-    nodes: u32,
-    faults: &FaultConfig,
-) -> Vec<Result<PolicyOutcome, SweepError>> {
-    try_run_policies_with(
-        trace,
-        policies,
-        nodes,
-        &RunOptions::with_faults(faults.clone()),
-    )
-    .into_iter()
-    .map(|r| r.map(|run| run.outcome))
-    .collect()
 }
 
 #[cfg(test)]
@@ -185,27 +164,6 @@ mod tests {
     fn empty_policy_set_is_fine() {
         let trace = CplantModel::new(1).with_scale(0.01).generate();
         assert!(try_run_policies(&trace, &[], 1024, &FaultConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn sweep_with_options_collects_optional_reports_once() {
-        let trace = CplantModel::new(29).with_scale(0.01).generate();
-        let policies = vec![
-            PolicySpec::baseline(),
-            PolicySpec::by_id("easy.nomax").unwrap(),
-        ];
-        let opts = RunOptions {
-            per_user: true,
-            equality: true,
-            resilience: true,
-            ..RunOptions::default()
-        };
-        for result in try_run_policies_with(&trace, &policies, 1024, &opts) {
-            let run = result.unwrap();
-            assert!(run.per_user.is_some());
-            assert!(run.equality.is_some());
-            assert!(run.resilience.is_some());
-        }
     }
 
     #[test]

@@ -358,7 +358,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepSummary> {
 
     // Worker panics inside a cell are quarantined into rows; silence the
     // global hook's backtrace noise for the duration (same trade as
-    // `try_run_policies_with`).
+    // `try_run_policies`).
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let writer_mutex = Mutex::new(&mut writer);

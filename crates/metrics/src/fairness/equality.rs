@@ -17,9 +17,8 @@
 //! reference schedule, so unlike FST metrics it can compare any two
 //! schedules directly.
 
-use fairsched_sim::{JobRecord, Observer, Schedule};
+use fairsched_sim::Schedule;
 use fairsched_workload::job::JobId;
-use std::collections::HashMap;
 
 /// Per-job discrimination values plus aggregates.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,21 +64,11 @@ impl EqualityReport {
 
 /// Computes the resource-equality report for a schedule.
 ///
-/// Convenience wrapper over [`equality_of`] using the schedule's machine
-/// size and records.
-pub fn equality_report(schedule: &Schedule) -> EqualityReport {
-    equality_of(schedule.nodes, &schedule.records)
-}
-
-/// The metric's core: computes per-job discrimination from raw records on a
-/// `nodes`-wide machine.
-///
 /// Builds the live-job count `N(t)` from the records' submit/end instants
 /// and integrates each job's deserved share exactly (the step function
-/// changes only at submits and ends). Shared by [`equality_report`] and
-/// [`EqualityObserver`], so single-pass collection is byte-identical to a
-/// dedicated scoring run.
-pub fn equality_of(nodes: u32, records: &[JobRecord]) -> EqualityReport {
+/// changes only at submits and ends).
+pub fn equality_report(schedule: &Schedule) -> EqualityReport {
+    let records = &schedule.records;
     if records.is_empty() {
         return EqualityReport::default();
     }
@@ -99,7 +88,7 @@ pub fn equality_of(nodes: u32, records: &[JobRecord]) -> EqualityReport {
     let mut integral = Vec::new(); // I at each time
     let mut live: i64 = 0;
     let mut acc = 0.0f64;
-    let size = nodes as f64;
+    let size = schedule.nodes as f64;
     let mut i = 0;
     let mut last_t = deltas[0].0;
     times.push(last_t);
@@ -145,54 +134,6 @@ pub fn equality_of(nodes: u32, records: &[JobRecord]) -> EqualityReport {
         .collect();
     discrimination.sort_by_key(|&(id, _)| id);
     EqualityReport { discrimination }
-}
-
-/// Deserved node-seconds per job (exposed for tests and analysis).
-pub fn deserved_shares(schedule: &Schedule) -> HashMap<JobId, f64> {
-    let report = equality_report(schedule);
-    schedule
-        .records
-        .iter()
-        .map(|r| {
-            let received = r.nodes as f64 * r.executed() as f64;
-            let disc = report.of(r.id).expect("every record scored");
-            (r.id, received - disc)
-        })
-        .collect()
-}
-
-/// Observer form of the metric: attach to one `simulate` run (alone or
-/// inside an [`fairsched_sim::ObserverSet`]) and collect the
-/// [`EqualityReport`] without a second scoring pass over the schedule.
-///
-/// The report is computed in [`Observer::on_finish`] from the finished
-/// schedule via [`equality_of`], so it is byte-identical to calling
-/// [`equality_report`] on the same schedule afterwards.
-#[derive(Debug, Default)]
-pub struct EqualityObserver {
-    report: Option<EqualityReport>,
-}
-
-impl EqualityObserver {
-    /// A fresh observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the observer into its report.
-    ///
-    /// # Panics
-    /// If the observer was never attached to a completed simulation.
-    pub fn into_report(self) -> EqualityReport {
-        self.report
-            .expect("EqualityObserver must observe a completed simulation")
-    }
-}
-
-impl Observer for EqualityObserver {
-    fn on_finish(&mut self, schedule: &Schedule) {
-        self.report = Some(equality_report(schedule));
-    }
 }
 
 #[cfg(test)]
@@ -274,21 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn observer_matches_post_hoc_scoring() {
-        let trace = [job(1, 1, 0, 10, 100), job(2, 2, 0, 10, 100)];
-        let mut obs = EqualityObserver::new();
-        let s = simulate(&trace, &cfg(10), &mut obs, SimOptions::new()).unwrap();
-        assert_eq!(obs.into_report(), equality_report(&s));
-    }
-
-    #[test]
     fn deserved_shares_reconstruct_received_minus_discrimination() {
         let trace = [job(1, 1, 0, 10, 100), job(2, 2, 0, 10, 100)];
         let s = simulate(&trace, &cfg(10), &mut NullObserver, SimOptions::new()).unwrap();
-        let shares = deserved_shares(&s);
+        let r = equality_report(&s);
+        // Each job received 10 nodes × 100 s; deserved = received − disc.
+        let deserved = |id: u32| 1000.0 - r.of(JobId(id)).unwrap();
         // Job 1: live [0,100) sharing with job 2 → deserved 10/2×100 = 500.
-        assert!((shares[&JobId(1)] - 500.0).abs() < 1e-9);
+        assert!((deserved(1) - 500.0).abs() < 1e-9);
         // Job 2: live [0,200): shares [0,100) (500) + alone [100,200) (1000).
-        assert!((shares[&JobId(2)] - 1500.0).abs() < 1e-9);
+        assert!((deserved(2) - 1500.0).abs() < 1e-9);
     }
 }

@@ -28,9 +28,10 @@ use std::collections::HashMap;
 
 /// Observer computing hybrid fairshare FSTs during a simulation run.
 ///
-/// Attach to [`fairsched_sim::simulate`] (alone or inside an
-/// [`fairsched_sim::ObserverSet`]), then call
-/// [`HybridFstObserver::into_report`].
+/// Attach to [`fairsched_sim::simulate`], then call
+/// [`HybridFstObserver::into_report`]. The per-user, equality and
+/// resilience reports are functions of the returned schedule and this
+/// report, so this is the only observer a run needs.
 ///
 /// ```
 /// use fairsched_metrics::fairness::hybrid::HybridFstObserver;

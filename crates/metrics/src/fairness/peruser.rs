@@ -7,10 +7,8 @@
 //! users gain their advantage at the expense of light ones?
 
 use crate::fairness::fst::FstReport;
-use crate::fairness::hybrid::HybridFstObserver;
-use fairsched_sim::{ArrivalView, JobRecord, Observer, Schedule};
-use fairsched_workload::job::{JobId, UserId};
-use fairsched_workload::time::Time;
+use fairsched_sim::Schedule;
+use fairsched_workload::job::UserId;
 use std::collections::HashMap;
 
 /// One user's aggregate treatment under a schedule.
@@ -53,16 +51,9 @@ impl UserFairness {
 /// Folds a schedule and its FST report into per-user aggregates, sorted by
 /// descending processor-seconds (heaviest consumers first).
 pub fn per_user(schedule: &Schedule, fairness: &FstReport) -> Vec<UserFairness> {
-    per_user_of(&schedule.records, fairness)
-}
-
-/// The metric's core: folds raw records and an FST report into per-user
-/// aggregates. Shared by [`per_user`] and [`PerUserObserver`], so
-/// single-pass collection is byte-identical to post-hoc scoring.
-pub fn per_user_of(records: &[JobRecord], fairness: &FstReport) -> Vec<UserFairness> {
     let miss_by_id: HashMap<_, _> = fairness.entries.iter().map(|e| (e.id, e.miss())).collect();
     let mut acc: HashMap<UserId, UserFairness> = HashMap::new();
-    for r in records {
+    for r in &schedule.records {
         let entry = acc.entry(r.user).or_insert(UserFairness {
             user: r.user,
             jobs: 0,
@@ -117,51 +108,6 @@ pub fn heavy_vs_light_miss(users: &[UserFairness], heavy_fraction: f64) -> (f64,
         slice.iter().map(|u| u.total_miss).sum::<f64>() / jobs as f64
     };
     (mean(&users[..heavy_n]), mean(&users[heavy_n..]))
-}
-
-/// Observer form of the per-user audit: attach to one `simulate` run
-/// (alone or inside an [`fairsched_sim::ObserverSet`]) and collect the
-/// [`UserFairness`] rows without a second simulation.
-///
-/// Internally drives a [`HybridFstObserver`] for the fair start times, then
-/// folds the finished schedule through [`per_user`] in
-/// [`Observer::on_finish`] — byte-identical to running the hybrid observer
-/// alone and calling [`per_user`] afterwards.
-#[derive(Debug, Default)]
-pub struct PerUserObserver {
-    hybrid: HybridFstObserver,
-    users: Option<Vec<UserFairness>>,
-}
-
-impl PerUserObserver {
-    /// A fresh observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the observer into its per-user rows (heaviest users first).
-    ///
-    /// # Panics
-    /// If the observer was never attached to a completed simulation.
-    pub fn into_users(self) -> Vec<UserFairness> {
-        self.users
-            .expect("PerUserObserver must observe a completed simulation")
-    }
-}
-
-impl Observer for PerUserObserver {
-    fn on_arrival(&mut self, view: &ArrivalView<'_>) {
-        self.hybrid.on_arrival(view);
-    }
-
-    fn on_start(&mut self, id: JobId, now: Time) {
-        self.hybrid.on_start(id, now);
-    }
-
-    fn on_finish(&mut self, schedule: &Schedule) {
-        let fairness = std::mem::take(&mut self.hybrid).into_report();
-        self.users = Some(per_user(schedule, &fairness));
-    }
 }
 
 #[cfg(test)]
@@ -306,10 +252,6 @@ mod tests {
         let s = simulate(&trace, &cfg, &mut obs, SimOptions::new()).unwrap();
         let fairness = obs.into_report();
         let users = per_user(&s, &fairness);
-        // The observer form collects the identical rows in the same run.
-        let mut single = PerUserObserver::new();
-        simulate(&trace, &cfg, &mut single, SimOptions::new()).unwrap();
-        assert_eq!(single.into_users(), users);
         // Every trace user with jobs appears exactly once.
         let distinct: std::collections::HashSet<_> = trace.iter().map(|j| j.user).collect();
         assert_eq!(users.len(), distinct.len());

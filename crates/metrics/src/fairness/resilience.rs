@@ -17,12 +17,10 @@
 
 use std::collections::HashSet;
 
-use fairsched_sim::{ArrivalView, JobRecord, Observer, Schedule};
+use fairsched_sim::Schedule;
 use fairsched_workload::job::JobId;
-use fairsched_workload::time::Time;
 
 use super::fst::FstReport;
-use super::hybrid::HybridFstObserver;
 
 /// An [`FstReport`] partitioned by whether the scored job's origin was
 /// ever interrupted by a fault.
@@ -47,14 +45,7 @@ impl ResilienceReport {
     /// not appear in the schedule (none, for reports built from the same
     /// run) are treated as clean.
     pub fn split(report: &FstReport, schedule: &Schedule) -> Self {
-        Self::split_records(report, &schedule.records, schedule.goodput())
-    }
-
-    /// The metric's core: splits `report` using raw records, pairing the
-    /// halves with an externally-computed `goodput`. Shared by
-    /// [`ResilienceReport::split`] and [`ResilienceObserver`], so
-    /// single-pass collection is byte-identical to post-hoc scoring.
-    pub fn split_records(report: &FstReport, records: &[JobRecord], goodput: f64) -> Self {
+        let records = &schedule.records;
         let interrupted_origins: HashSet<JobId> = records
             .iter()
             .filter(|r| r.interrupted)
@@ -66,7 +57,7 @@ impl ResilienceReport {
         ResilienceReport {
             interrupted,
             clean,
-            goodput,
+            goodput: schedule.goodput(),
         }
     }
 
@@ -85,51 +76,6 @@ impl ResilienceReport {
     /// better, e.g. under requeue-boosting policies).
     pub fn interruption_penalty(&self) -> f64 {
         self.interrupted.average_miss_time() - self.clean.average_miss_time()
-    }
-}
-
-/// Observer form of the resilience audit: attach to one `simulate` run
-/// (alone or inside an [`fairsched_sim::ObserverSet`]) and collect the
-/// interrupted-vs-clean split without a second simulation.
-///
-/// Internally drives a [`HybridFstObserver`] for the fair start times, then
-/// splits the report in [`Observer::on_finish`] via
-/// [`ResilienceReport::split`] — byte-identical to running the hybrid
-/// observer alone and splitting afterwards.
-#[derive(Debug, Default)]
-pub struct ResilienceObserver {
-    hybrid: HybridFstObserver,
-    report: Option<ResilienceReport>,
-}
-
-impl ResilienceObserver {
-    /// A fresh observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the observer into its report.
-    ///
-    /// # Panics
-    /// If the observer was never attached to a completed simulation.
-    pub fn into_report(self) -> ResilienceReport {
-        self.report
-            .expect("ResilienceObserver must observe a completed simulation")
-    }
-}
-
-impl Observer for ResilienceObserver {
-    fn on_arrival(&mut self, view: &ArrivalView<'_>) {
-        self.hybrid.on_arrival(view);
-    }
-
-    fn on_start(&mut self, id: JobId, now: Time) {
-        self.hybrid.on_start(id, now);
-    }
-
-    fn on_finish(&mut self, schedule: &Schedule) {
-        let fairness = std::mem::take(&mut self.hybrid).into_report();
-        self.report = Some(ResilienceReport::split(&fairness, schedule));
     }
 }
 
@@ -206,28 +152,6 @@ mod tests {
         assert!(split.interruption_penalty() > 0.0);
         // goodput = (busy - lost) / (makespan * nodes) = 300 / 1000
         assert!((split.goodput - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn observer_matches_post_hoc_split_under_faults() {
-        use fairsched_sim::{simulate, FaultConfig, SimConfig, SimOptions};
-        use fairsched_workload::synthetic::random_trace;
-        let trace = random_trace(5, 60, 16, 3000);
-        let cfg = SimConfig {
-            nodes: 16,
-            faults: FaultConfig {
-                job_crash_rate: 0.3,
-                seed: 9,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut hybrid = HybridFstObserver::new();
-        let s = simulate(&trace, &cfg, &mut hybrid, SimOptions::new()).unwrap();
-        let expected = ResilienceReport::split(&hybrid.into_report(), &s);
-        let mut obs = ResilienceObserver::new();
-        simulate(&trace, &cfg, &mut obs, SimOptions::new()).unwrap();
-        assert_eq!(obs.into_report(), expected);
     }
 
     #[test]

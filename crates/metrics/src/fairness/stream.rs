@@ -13,9 +13,10 @@
 //!   batch report (the convergence guarantee, pinned by a property test
 //!   at the workspace root);
 //! * per-user aggregates accumulate in order-independent integer
-//!   arithmetic, so [`StreamingFairness::users`] reproduces
-//!   [`per_user_of`]'s rows exactly (bit-for-bit while sums stay below
-//!   2^53 — far beyond any real trace) without replaying records;
+//!   arithmetic, so [`StreamingFairness::users`] reproduces the rows of
+//!   [`per_user`](crate::fairness::peruser::per_user) exactly
+//!   (bit-for-bit while sums stay below 2^53 — far beyond any real trace)
+//!   without replaying records;
 //! * live gauges — queue depth, busy nodes, utilization-so-far,
 //!   starvation age, and how far past their fair start the currently
 //!   queued jobs are — come from O(1)-maintained maps, snapshotted on
@@ -149,10 +150,8 @@ impl StreamingFairness {
     }
 
     /// Per-user rows, heaviest consumers first — the same rows
-    /// [`per_user_of`] computes from the finished schedule, produced from
-    /// the running totals instead.
-    ///
-    /// [`per_user_of`]: crate::fairness::peruser::per_user_of
+    /// [`per_user`](crate::fairness::peruser::per_user) computes from the
+    /// finished schedule, produced from the running totals instead.
     pub fn users(&self) -> Vec<UserFairness> {
         let mut out: Vec<UserFairness> = self
             .users
@@ -315,7 +314,7 @@ impl Observer for StreamingFairness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fairness::peruser::per_user_of;
+    use crate::fairness::peruser::per_user;
     use fairsched_sim::{simulate, KillPolicy, SimConfig, SimOptions, StarvationConfig};
     use fairsched_workload::job::Job;
 
@@ -346,10 +345,7 @@ mod tests {
         assert_eq!(schedule, schedule2, "observer must not perturb the run");
 
         assert_eq!(stream.report(), batch_report);
-        assert_eq!(
-            stream.users(),
-            per_user_of(&schedule.records, &batch_report)
-        );
+        assert_eq!(stream.users(), per_user(&schedule, &batch_report));
 
         let snap = stream.snapshot();
         assert_eq!(snap.arrivals as usize, trace.len());

@@ -20,10 +20,10 @@
 //!   (and an [`FstReport`]) to decompose one job's wait into capacity,
 //!   reservation, and policy components that sum to the actual wait.
 //!
-//! Every fairness family ships an observer form ([`HybridFstObserver`],
-//! [`EqualityObserver`], [`PerUserObserver`], [`ResilienceObserver`]) so a
-//! single `simulate` run — via `fairsched_sim::ObserverSet` — can feed
-//! all of them at once instead of one simulation per metric.
+//! Only the hybrid FST is an observer ([`HybridFstObserver`]: it needs the
+//! queue at every arrival); the rest are functions of the outcome
+//! ([`fairness::peruser::per_user`], [`fairness::equality::equality_report`],
+//! [`ResilienceReport::split`]), computed after the run.
 
 pub mod explain;
 pub mod fairness;
@@ -31,8 +31,8 @@ pub mod system;
 pub mod user;
 
 pub use explain::{explain_wait, worst_miss, WaitBreakdown};
-pub use fairness::equality::{EqualityObserver, EqualityReport};
+pub use fairness::equality::{equality_report, EqualityReport};
 pub use fairness::fst::{FstEntry, FstReport};
 pub use fairness::hybrid::HybridFstObserver;
-pub use fairness::peruser::{PerUserObserver, UserFairness};
-pub use fairness::resilience::{ResilienceObserver, ResilienceReport};
+pub use fairness::peruser::{per_user, UserFairness};
+pub use fairness::resilience::ResilienceReport;

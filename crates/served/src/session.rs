@@ -232,8 +232,9 @@ impl Session {
 
     /// The live fairness verdict: every gauge, plus per-user rows
     /// (heaviest consumers first). At seal this equals the batch
-    /// `ObserverSet` verdict for the same trace — the stream observer
-    /// saw exactly the hooks a batch run fires.
+    /// `HybridFstObserver` report and the `per_user` rows folded from it
+    /// for the same trace — the stream observer saw exactly the hooks a
+    /// batch run fires.
     pub fn fairness(&self) -> (FairnessSnapshot, Vec<UserFairness>) {
         let inner = self.lock();
         (inner.stream.snapshot(), inner.stream.users())
@@ -920,7 +921,7 @@ mod tests {
     #[test]
     fn sealed_fairness_matches_the_batch_observers() {
         use fairsched_metrics::fairness::hybrid::HybridFstObserver;
-        use fairsched_metrics::fairness::peruser::per_user_of;
+        use fairsched_metrics::fairness::peruser::per_user;
 
         let jobs = [
             Job::new(1, 1, 1, 0, 32, 500, 500),
@@ -944,7 +945,7 @@ mod tests {
 
         assert_eq!(session.fst_report(), batch_report);
         let (snap, users) = session.fairness();
-        assert_eq!(users, per_user_of(&schedule.records, &batch_report));
+        assert_eq!(users, per_user(&schedule, &batch_report));
         assert!(
             (snap.utilization - schedule.utilization()).abs() < 1e-9,
             "live {} vs batch {}",

@@ -34,9 +34,8 @@
 //!   fair start times (one clone-and-run per scored job instead of one
 //!   full replay);
 //! * [`starvation`] — starvation-queue eligibility and the heavy-user bar;
-//! * [`state`] — queue/running views, the [`state::Observer`] hook metrics
-//!   attach to, and the [`state::ObserverSet`] fan-out that lets one run
-//!   feed many metrics;
+//! * [`state`] — queue/running views and the [`state::Observer`] hook
+//!   run-time metrics attach to;
 //! * [`step`] — the pure, clock-decoupled core: feed a typed
 //!   [`step::SimEvent`] (a submission or a grant of simulated time), get
 //!   typed [`step::Effect`]s back (admissions, starts, completions, trace
@@ -80,5 +79,5 @@ pub use simulator::{
     simulate, CancelToken, JobRecord, OriginalOutcome, PlacementStats, QueueStats, Schedule,
     SimError, SimOptions,
 };
-pub use state::{ArrivalView, NullObserver, Observer, ObserverSet, QueuedJob, RunningJob};
+pub use state::{ArrivalView, NullObserver, Observer, QueuedJob, RunningJob};
 pub use step::{Effect, SimEvent, StepStatus, SteppedSim};

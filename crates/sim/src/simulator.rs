@@ -626,10 +626,10 @@ impl<'a> SimOptions<'a> {
 
     /// Streams every scheduling decision (starts with their cause,
     /// reservation moves, starvation promotions, fault requeues) and a
-    /// per-event-batch queue sample into `sink` as
-    /// [`TraceRecord`](fairsched_obs::TraceRecord)s. Tracing is strictly
-    /// write-only: the returned `Schedule` is byte-identical to the
-    /// untraced run (pinned by the workspace `obs_interference` proptests).
+    /// per-event-batch queue sample into `sink` as [`TraceRecord`]s.
+    /// Tracing is strictly write-only: the returned `Schedule` is
+    /// byte-identical to the untraced run (pinned by the workspace
+    /// `obs_interference` proptests).
     pub fn trace(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -1511,45 +1511,6 @@ mod tests {
         let mut seen = obs.records.clone();
         seen.sort_by_key(|r| r.id);
         assert_eq!(seen, s.records);
-    }
-
-    #[test]
-    fn observer_set_fans_out_to_every_member() {
-        use crate::state::ObserverSet;
-        let trace = [job(1, 1, 0, 4, 100, 100), job(2, 2, 5, 8, 50, 50)];
-        let c = cfg(10, EngineKind::NoGuarantee);
-        let mut solo = CountingObserver::default();
-        let baseline = simulate(&trace, &c, &mut solo, SimOptions::new()).unwrap();
-
-        let mut a = CountingObserver::default();
-        let mut b = CountingObserver::default();
-        let mut set = ObserverSet::new();
-        set.push(&mut a);
-        set.push(&mut b);
-        let fanned = simulate(&trace, &c, &mut set, SimOptions::new()).unwrap();
-        assert_eq!(baseline, fanned);
-        for obs in [&a, &b] {
-            assert_eq!(obs.arrivals, solo.arrivals);
-            assert_eq!(obs.starts, solo.starts);
-            assert_eq!(obs.completes, solo.completes);
-            assert_eq!(obs.records, solo.records);
-            assert_eq!(obs.finished_nodes, solo.finished_nodes);
-        }
-    }
-
-    #[test]
-    fn tuple_observers_forward_every_hook() {
-        let trace = [job(1, 1, 0, 4, 100, 100)];
-        let c = cfg(10, EngineKind::NoGuarantee);
-        let mut solo = CountingObserver::default();
-        simulate(&trace, &c, &mut solo, SimOptions::new()).unwrap();
-
-        let mut x = CountingObserver::default();
-        let mut y = CountingObserver::default();
-        simulate(&trace, &c, &mut (&mut x, &mut y), SimOptions::new()).unwrap();
-        assert_eq!(x.records, solo.records);
-        assert_eq!(y.records, solo.records);
-        assert_eq!(x.finished_nodes, solo.finished_nodes);
     }
 
     fn record(s: &Schedule, id: u32) -> JobRecord {

@@ -109,6 +109,11 @@ pub struct ArrivalView<'a> {
 
 /// Event hooks for metrics. All methods default to no-ops, so an observer
 /// implements only what it needs.
+///
+/// A run drives exactly one observer. Only metrics that need the
+/// simulator's state mid-run (the hybrid fair start time reads the queue at
+/// every arrival) are observers; a report that folds the finished
+/// [`Schedule`] is a plain function of it, computed after the run.
 pub trait Observer {
     /// A job (chunk) entered the queue.
     fn on_arrival(&mut self, _view: &ArrivalView<'_>) {}
@@ -123,136 +128,6 @@ pub trait Observer {
     /// Observers that need whole-run aggregates (machine size, goodput,
     /// integrals) capture them here instead of carrying the schedule around.
     fn on_finish(&mut self, _schedule: &Schedule) {}
-}
-
-/// Forwarding impl so observers can be passed by mutable reference (and
-/// nested inside tuples or an [`ObserverSet`] without being consumed).
-impl<T: Observer + ?Sized> Observer for &mut T {
-    fn on_arrival(&mut self, view: &ArrivalView<'_>) {
-        (**self).on_arrival(view);
-    }
-    fn on_start(&mut self, id: JobId, now: Time) {
-        (**self).on_start(id, now);
-    }
-    fn on_complete(&mut self, id: JobId, now: Time, killed: bool) {
-        (**self).on_complete(id, now, killed);
-    }
-    fn on_record(&mut self, record: &JobRecord) {
-        (**self).on_record(record);
-    }
-    fn on_finish(&mut self, schedule: &Schedule) {
-        (**self).on_finish(schedule);
-    }
-}
-
-macro_rules! impl_observer_for_tuple {
-    ($($name:ident),+) => {
-        #[allow(non_snake_case)]
-        impl<$($name: Observer),+> Observer for ($($name,)+) {
-            fn on_arrival(&mut self, view: &ArrivalView<'_>) {
-                let ($($name,)+) = self;
-                $($name.on_arrival(view);)+
-            }
-            fn on_start(&mut self, id: JobId, now: Time) {
-                let ($($name,)+) = self;
-                $($name.on_start(id, now);)+
-            }
-            fn on_complete(&mut self, id: JobId, now: Time, killed: bool) {
-                let ($($name,)+) = self;
-                $($name.on_complete(id, now, killed);)+
-            }
-            fn on_record(&mut self, record: &JobRecord) {
-                let ($($name,)+) = self;
-                $($name.on_record(record);)+
-            }
-            fn on_finish(&mut self, schedule: &Schedule) {
-                let ($($name,)+) = self;
-                $($name.on_finish(schedule);)+
-            }
-        }
-    };
-}
-
-impl_observer_for_tuple!(A);
-impl_observer_for_tuple!(A, B);
-impl_observer_for_tuple!(A, B, C);
-impl_observer_for_tuple!(A, B, C, D);
-impl_observer_for_tuple!(A, B, C, D, E);
-
-/// A dynamic fan-out: every hook is forwarded to each member in insertion
-/// order, so one simulation feeds any number of metric observers.
-///
-/// ```
-/// use fairsched_sim::{NullObserver, Observer, ObserverSet};
-///
-/// let mut a = NullObserver;
-/// let mut b = NullObserver;
-/// let mut set = ObserverSet::new();
-/// set.push(&mut a);
-/// set.push(&mut b);
-/// assert_eq!(set.len(), 2);
-/// ```
-#[derive(Default)]
-pub struct ObserverSet<'a> {
-    members: Vec<&'a mut dyn Observer>,
-}
-
-impl<'a> ObserverSet<'a> {
-    /// An empty set.
-    pub fn new() -> Self {
-        ObserverSet {
-            members: Vec::new(),
-        }
-    }
-
-    /// Adds an observer to the fan-out.
-    pub fn push(&mut self, observer: &'a mut dyn Observer) {
-        self.members.push(observer);
-    }
-
-    /// Builder-style [`ObserverSet::push`].
-    pub fn with(mut self, observer: &'a mut dyn Observer) -> Self {
-        self.push(observer);
-        self
-    }
-
-    /// Number of member observers.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
-
-impl Observer for ObserverSet<'_> {
-    fn on_arrival(&mut self, view: &ArrivalView<'_>) {
-        for m in &mut self.members {
-            m.on_arrival(view);
-        }
-    }
-    fn on_start(&mut self, id: JobId, now: Time) {
-        for m in &mut self.members {
-            m.on_start(id, now);
-        }
-    }
-    fn on_complete(&mut self, id: JobId, now: Time, killed: bool) {
-        for m in &mut self.members {
-            m.on_complete(id, now, killed);
-        }
-    }
-    fn on_record(&mut self, record: &JobRecord) {
-        for m in &mut self.members {
-            m.on_record(record);
-        }
-    }
-    fn on_finish(&mut self, schedule: &Schedule) {
-        for m in &mut self.members {
-            m.on_finish(schedule);
-        }
-    }
 }
 
 /// The do-nothing observer.

@@ -23,7 +23,7 @@
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::simulator::{validate_config, CancelToken, JobRecord, Schedule, Sim, SimError};
-use crate::state::Observer;
+use crate::state::{ArrivalView, Observer};
 use fairsched_obs::{TraceBuf, TraceRecord};
 use fairsched_workload::job::{Job, JobId};
 use fairsched_workload::time::Time;
@@ -95,19 +95,34 @@ pub struct StepStatus {
 }
 
 /// Collects start/completion effects from the simulator's own observer
-/// hooks, so the core needs no new emission sites.
-#[derive(Default)]
-struct EffectObserver {
+/// hooks, so the core needs no new emission sites, and forwards every hook
+/// to the caller's observer.
+struct EffectObserver<'a> {
     effects: Vec<Effect>,
+    inner: &'a mut dyn Observer,
 }
 
-impl Observer for EffectObserver {
+impl Observer for EffectObserver<'_> {
+    fn on_arrival(&mut self, view: &ArrivalView<'_>) {
+        self.inner.on_arrival(view);
+    }
+
     fn on_start(&mut self, id: JobId, now: Time) {
         self.effects.push(Effect::Started { job: id, at: now });
+        self.inner.on_start(id, now);
+    }
+
+    fn on_complete(&mut self, id: JobId, now: Time, killed: bool) {
+        self.inner.on_complete(id, now, killed);
     }
 
     fn on_record(&mut self, record: &JobRecord) {
         self.effects.push(Effect::Completed { record: *record });
+        self.inner.on_record(record);
+    }
+
+    fn on_finish(&mut self, schedule: &Schedule) {
+        self.inner.on_finish(schedule);
     }
 }
 
@@ -227,12 +242,13 @@ impl SteppedSim {
     ) -> Result<Vec<Effect>, SimError> {
         let mut effects = Vec::new();
         loop {
-            let mut fx = EffectObserver::default();
-            let progressed = {
-                let mut chained = (&mut fx, &mut *observer);
-                self.sim
-                    .step_bounded(Some(horizon), &mut self.engine, &mut chained)?
+            let mut fx = EffectObserver {
+                effects: Vec::new(),
+                inner: &mut *observer,
             };
+            let progressed = self
+                .sim
+                .step_bounded(Some(horizon), &mut self.engine, &mut fx)?;
             effects.append(&mut fx.effects);
             if let Some(trace) = &self.trace {
                 effects.extend(

@@ -26,15 +26,10 @@ fn main() {
 
     println!("auditing {} on {} jobs\n", policy.id, trace.len());
 
-    // One simulation feeds both run-attached metrics via an ObserverSet.
+    // One simulation with the hybrid FST observer attached.
     let mut hybrid_obs = HybridFstObserver::new();
-    let mut equality_obs = EqualityObserver::new();
-    let schedule = {
-        let mut observers = ObserverSet::new();
-        observers.push(&mut hybrid_obs);
-        observers.push(&mut equality_obs);
-        simulate(&trace, &cfg, &mut observers, SimOptions::new()).expect("baseline config is valid")
-    };
+    let schedule = simulate(&trace, &cfg, &mut hybrid_obs, SimOptions::new())
+        .expect("baseline config is valid");
     let hybrid = hybrid_obs.into_report();
 
     // CONS_P: one extra FCFS-conservative-perfect run.
@@ -65,9 +60,9 @@ fn main() {
         );
     }
 
-    // Resource equality: schedule-relative, no FST; collected in the same
-    // run as the hybrid report above.
-    let equality = equality_obs.into_report();
+    // Resource equality: schedule-relative, no FST; a function of the
+    // schedule above.
+    let equality = equality_report(&schedule);
     println!(
         "\nresource equality: total under-service {:.0} node-hours, discrimination σ {:.0} node-s",
         equality.total_underservice() / 3600.0,

@@ -1,7 +1,7 @@
-//! Properties of the single-pass metric-collection engine: fanning every
-//! observer out over one simulation must be byte-identical to the legacy
-//! one-observer-per-run protocol, and the warm-start parallel Sabin prefix
-//! engine must reproduce the serial from-scratch FSTs exactly.
+//! Properties of the single-pass metric collection: `try_run_policy` must
+//! be byte-identical to a bare simulation with the hybrid FST observer,
+//! and the warm-start parallel Sabin prefix engine must reproduce the
+//! serial from-scratch FSTs exactly.
 
 use fairsched::prelude::*;
 use fairsched::workload::synthetic::random_trace;
@@ -12,51 +12,28 @@ const NODES: u32 = 32;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// An `ObserverSet` carrying all four metric observers sees exactly
-    /// what each observer sees when it gets a dedicated simulation —
+    /// `try_run_policy` returns exactly the schedule and hybrid FST report
+    /// of one `simulate` run with a single `HybridFstObserver` attached —
     /// with and without fault injection.
     #[test]
-    fn observer_set_matches_one_observer_per_run(seed in 0u64..500, crash in 0u8..2) {
+    fn try_run_policy_matches_one_hybrid_observer_run(seed in 0u64..500, crash in 0u8..2) {
         let trace = random_trace(seed, 50, NODES, 8000);
-        let cfg = SimConfig {
-            nodes: NODES,
-            faults: FaultConfig {
-                job_crash_rate: if crash == 1 { 0.2 } else { 0.0 },
-                seed,
-                ..Default::default()
-            },
+        let policy = PolicySpec::baseline();
+        let faults = FaultConfig {
+            job_crash_rate: if crash == 1 { 0.2 } else { 0.0 },
+            seed,
             ..Default::default()
         };
+        let run = try_run_policy(&trace, &policy, NODES, &RunOptions::with_faults(faults.clone()))
+            .unwrap();
 
-        // One simulation, every observer attached.
+        let mut cfg = policy.sim_config(NODES);
+        cfg.faults = faults;
         let mut hybrid = HybridFstObserver::new();
-        let mut equality = EqualityObserver::new();
-        let mut per_user = PerUserObserver::new();
-        let mut resilience = ResilienceObserver::new();
-        let combined = {
-            let mut set = ObserverSet::new();
-            set.push(&mut hybrid);
-            set.push(&mut equality);
-            set.push(&mut per_user);
-            set.push(&mut resilience);
-            simulate(&trace, &cfg, &mut set, SimOptions::new()).unwrap()
-        };
+        let schedule = simulate(&trace, &cfg, &mut hybrid, SimOptions::new()).unwrap();
 
-        // The legacy protocol: one simulation per observer.
-        let mut solo_hybrid = HybridFstObserver::new();
-        let solo_schedule = simulate(&trace, &cfg, &mut solo_hybrid, SimOptions::new()).unwrap();
-        let mut solo_equality = EqualityObserver::new();
-        simulate(&trace, &cfg, &mut solo_equality, SimOptions::new()).unwrap();
-        let mut solo_per_user = PerUserObserver::new();
-        simulate(&trace, &cfg, &mut solo_per_user, SimOptions::new()).unwrap();
-        let mut solo_resilience = ResilienceObserver::new();
-        simulate(&trace, &cfg, &mut solo_resilience, SimOptions::new()).unwrap();
-
-        prop_assert_eq!(combined, solo_schedule);
-        prop_assert_eq!(hybrid.into_report(), solo_hybrid.into_report());
-        prop_assert_eq!(equality.into_report(), solo_equality.into_report());
-        prop_assert_eq!(per_user.into_users(), solo_per_user.into_users());
-        prop_assert_eq!(resilience.into_report(), solo_resilience.into_report());
+        prop_assert_eq!(run.outcome.schedule, schedule);
+        prop_assert_eq!(run.outcome.fairness, hybrid.into_report());
     }
 
     /// The warm-start parallel Sabin engine returns exactly the serial
@@ -128,34 +105,5 @@ proptest! {
             let cold = sabin_fsts(&trace, &cfg);
             prop_assert_eq!(warm, cold, "warm-start diverged for {:?}", engine);
         }
-    }
-
-    /// `try_run_policy` + `RunOptions::everything()` returns the same four
-    /// reports the dedicated observers produce on their own runs.
-    #[test]
-    fn run_options_everything_matches_dedicated_runs(seed in 0u64..300) {
-        let trace = random_trace(seed, 40, NODES, 6000);
-        let policy = PolicySpec::baseline();
-        let run = try_run_policy(&trace, &policy, NODES, &RunOptions::everything()).unwrap();
-
-        let cfg = policy.sim_config(NODES);
-        let mut hybrid = HybridFstObserver::new();
-        let mut equality = EqualityObserver::new();
-        let mut per_user = PerUserObserver::new();
-        let mut resilience = ResilienceObserver::new();
-        let schedule = {
-            let mut set = ObserverSet::new();
-            set.push(&mut hybrid);
-            set.push(&mut equality);
-            set.push(&mut per_user);
-            set.push(&mut resilience);
-            simulate(&trace, &cfg, &mut set, SimOptions::new()).unwrap()
-        };
-
-        prop_assert_eq!(run.outcome.schedule, schedule);
-        prop_assert_eq!(run.outcome.fairness, hybrid.into_report());
-        prop_assert_eq!(run.equality.unwrap(), equality.into_report());
-        prop_assert_eq!(run.per_user.unwrap(), per_user.into_users());
-        prop_assert_eq!(run.resilience.unwrap(), resilience.into_report());
     }
 }

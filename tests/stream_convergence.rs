@@ -10,13 +10,13 @@
 //!
 //! * the sealed [`FstReport`] is **equal** to the batch
 //!   [`HybridFstObserver`] report — same entries, same misses;
-//! * per-user rows equal [`per_user_of`] on the finished schedule,
+//! * per-user rows equal [`per_user`] on the finished schedule,
 //!   bit-for-bit (integer accumulation: no f64 ordering drift);
 //! * live utilization lands on [`Schedule::utilization`] at seal;
 //! * observing changes nothing: the instrumented online run seals into
 //!   the schedule the batch simulator produces.
 
-use fairsched::metrics::fairness::peruser::per_user_of;
+use fairsched::metrics::fairness::peruser::per_user;
 use fairsched::metrics::fairness::stream::StreamingFairness;
 use fairsched::prelude::*;
 use fairsched::sim::StarvationConfig;
@@ -124,7 +124,7 @@ proptest! {
             );
             prop_assert_eq!(
                 stream.users(),
-                per_user_of(&reference.records, &batch_report),
+                per_user(&reference, &batch_report),
                 "engine {:?}: per-user rows diverged from batch",
                 engine
             );
