@@ -30,8 +30,8 @@ use fairsched_core::sweep::try_run_policies;
 use fairsched_core::{run_sweep, FaultPoint, SweepConfig, SweepPlan};
 use fairsched_metrics::explain::{explain_wait, worst_miss};
 use fairsched_metrics::fairness::peruser::{heavy_vs_light_miss, per_user};
+use fairsched_obs::log;
 use fairsched_obs::registry::{parse_exposition, quantile_from_buckets};
-use fairsched_obs::{log, DecisionTracer};
 use fairsched_served::daemon::{serve, ServeArgs};
 use fairsched_served::{Client, SubmitRequest};
 use fairsched_sim::{FaultConfig, ResiliencePolicy};
@@ -631,14 +631,17 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
                         .map_err(Box::new)?
                 }
                 Some(path) => {
-                    let mut tracer = DecisionTracer::unbounded();
+                    let mut records = Vec::new();
                     let opts = RunOptions::with_faults(faults.clone());
-                    let run = try_run_policy_traced(&jobs, &spec, nodes, &opts, Some(&mut tracer))?;
+                    let run =
+                        try_run_policy_traced(&jobs, &spec, nodes, &opts, Some(&mut records))?;
                     let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-                    tracer.write_jsonl(&mut file)?;
                     use std::io::Write as _;
+                    for rec in &records {
+                        writeln!(file, "{}", rec.to_jsonl())?;
+                    }
                     file.flush()?;
-                    writeln!(out, "wrote {} trace records to {path}", tracer.len())?;
+                    writeln!(out, "wrote {} trace records to {path}", records.len())?;
                     run.outcome
                 }
             };
@@ -800,10 +803,9 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
         } => {
             let (jobs, mut out) = load_trace(&trace, nodes)?;
             let spec = lookup(&policy)?;
-            let mut tracer = DecisionTracer::unbounded();
+            let mut records = Vec::new();
             let opts = RunOptions::with_faults(faults);
-            let run = try_run_policy_traced(&jobs, &spec, nodes, &opts, Some(&mut tracer))?;
-            let records = tracer.into_records();
+            let run = try_run_policy_traced(&jobs, &spec, nodes, &opts, Some(&mut records))?;
             let fairness = &run.outcome.fairness;
             let target = match job {
                 Some(id) => JobId(id),
@@ -989,10 +991,10 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
 /// (the source of server-side submit latency quantiles).
 fn render_watch_frame(
     s: &fairsched_served::StatusResponse,
-    fairness: &fairsched_served::json::Json,
+    fairness: &fairsched_core::json::Json,
     metrics_text: &str,
 ) -> String {
-    use fairsched_served::json::Json;
+    use fairsched_core::json::Json;
     let f_u64 = |key: &str| fairness.get(key).and_then(Json::as_u64).unwrap_or(0);
     let f_f64 = |key: &str| fairness.get(key).and_then(Json::as_f64).unwrap_or(0.0);
 
@@ -1777,7 +1779,7 @@ mod tests {
             next_event: Some(650),
             sealed: false,
         };
-        let fairness = fairsched_served::json::parse(
+        let fairness = fairsched_core::json::parse(
             r#"{"percent_unfair": 0.25, "scored": 4, "total_miss": 120,
                 "mean_wait": 30.5, "mean_slowdown": 1.75, "live_fst_misses": 2,
                 "worst_live_miss": 90, "starvation_age": 200, "utilization": 0.8}"#,

@@ -6,27 +6,29 @@
 //! `fairsched_served::journal`). Both need the same wire discipline, so
 //! the machinery lives here once:
 //!
-//! * **Sealed lines.** Every line is a flat JSON object whose final field
-//!   is `"crc"`, the FNV-1a checksum of everything before it. A torn
+//! * **Sealed lines.** Every line is a JSON object whose final field is
+//!   `"crc"`, the FNV-1a checksum of everything before it. A torn
 //!   final line (the process was SIGKILLed mid-write) or a corrupted line
 //!   fails [`unseal_line`] or the checksum comparison and is *skipped* on
 //!   replay — never trusted, never panicked over.
 //! * **Schema versions.** Every body carries `"v":N`; a line from an
 //!   unknown (newer) schema degrades to a skip with a warning, not a
 //!   crash.
-//! * **Hand-rolled JSON.** The workspace's serde is a deliberate no-op
-//!   stub, so writers format fields by hand and readers pull them back
-//!   out with the [`json_u64`]-family helpers. Floats round-trip through
-//!   Rust's shortest-representation `Display`, which keeps replayed rows
-//!   bit-identical to the run that wrote them.
+//! * **One codec.** Rows are [`Json`] values: writers build them (see
+//!   [`row`]) and [`crate::json`] renders them, so keys come out sorted
+//!   (`"crc"` is still appended last); readers get each verified line
+//!   parsed once. Floats round-trip through Rust's shortest-representation
+//!   `Display`, which keeps replayed rows bit-identical to the run that
+//!   wrote them.
 //!
 //! [`LineWriter`] owns the file half: append-only writes of sealed
 //! lines with explicit [`LineWriter::flush`] (kernel handoff — a SIGKILL
 //! then loses nothing) and [`LineWriter::sync`] (fsync — a power cut
 //! then loses nothing) so each consumer picks its own durability batch
-//! size. [`replay_lines`] owns the read half: framing, checksum, and
-//! version checks per line, with every skip warned and counted.
+//! size. [`replay_lines`] owns the read half: framing, checksum, parse,
+//! and version checks per line, with every skip warned and counted.
 
+use crate::json::{self, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -43,113 +45,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Escapes a string for embedding in a journal line's JSON body.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Builds a journal row: the entries of `fields` (a JSON object) plus the
+/// schema version `"v"` and the record `"kind"` every row carries.
+pub fn row(version: u64, kind: &str, fields: Json) -> Json {
+    let Json::Obj(mut map) = fields else {
+        panic!("journal row fields must be a JSON object, got {fields:?}");
+    };
+    map.insert("v".into(), Json::UInt(version));
+    map.insert("kind".into(), Json::Str(kind.into()));
+    Json::Obj(map)
 }
 
-/// Inverse of [`escape`].
-pub fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Finds `"key":` at top level of the (flat) object and returns the raw
-/// value text that follows, up to the next `,"` or closing `}`.
-pub fn raw_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote.
-        let mut esc = false;
-        for (i, c) in stripped.char_indices() {
-            match c {
-                '\\' if !esc => esc = true,
-                '"' if !esc => return Some(&stripped[..i]),
-                _ => esc = false,
-            }
-        }
-        None
-    } else if let Some(stripped) = rest.strip_prefix('[') {
-        stripped.find(']').map(|end| &stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// A `u64` field of a journal body.
-pub fn json_u64(line: &str, key: &str) -> Option<u64> {
-    raw_value(line, key)?.parse().ok()
-}
-
-/// A `u32` field of a journal body.
-pub fn json_u32(line: &str, key: &str) -> Option<u32> {
-    raw_value(line, key)?.parse().ok()
-}
-
-/// An `f64` field of a journal body (shortest-round-trip exact).
-pub fn json_f64(line: &str, key: &str) -> Option<f64> {
-    raw_value(line, key)?.parse().ok()
-}
-
-/// A string field of a journal body, unescaped.
-pub fn json_str(line: &str, key: &str) -> Option<String> {
-    raw_value(line, key).map(unescape)
-}
-
-/// A fixed-width `f64` array field of a journal body.
-pub fn json_f64_array<const N: usize>(line: &str, key: &str) -> Option<[f64; N]> {
-    let raw = raw_value(line, key)?;
-    let mut out = [0.0; N];
-    let mut count = 0;
-    for (i, part) in raw.split(',').enumerate() {
-        if i >= N {
-            return None;
-        }
-        out[i] = part.trim().parse().ok()?;
-        count = i + 1;
-    }
-    (count == N).then_some(out)
-}
-
-/// Appends the checksum and newline: `line = body + ',"crc":N}' + '\n'`
-/// where `N = fnv1a(body)`. `body` is an *unclosed* flat JSON object —
-/// `{"v":1,...` with no trailing `}`.
-pub fn seal_line(body: &str) -> String {
+/// Renders `row` (a JSON object) as one sealed line:
+/// `line = body + ',"crc":N}' + '\n'`, where `body` is the rendered object
+/// without its closing `}` and `N = fnv1a(body)`.
+pub fn seal_line(row: &Json) -> String {
+    let text = row.render();
+    let body = text
+        .strip_suffix('}')
+        .expect("journal rows are JSON objects");
     format!("{body},\"crc\":{}}}\n", fnv1a(body.as_bytes()))
 }
 
@@ -186,10 +100,10 @@ impl LineWriter {
         })
     }
 
-    /// Seals `body` and writes the line into the buffer (no flush).
+    /// Seals `row` and writes the line into the buffer (no flush).
     /// Returns the number of bytes written.
-    pub fn write_sealed(&mut self, body: &str) -> std::io::Result<u64> {
-        let line = seal_line(body);
+    pub fn write_sealed(&mut self, row: &Json) -> std::io::Result<u64> {
+        let line = seal_line(row);
         self.out.write_all(line.as_bytes())?;
         Ok(line.len() as u64)
     }
@@ -214,17 +128,18 @@ impl Drop for LineWriter {
     }
 }
 
-/// Replays `path` line by line, verifying framing, checksum, and schema
-/// version, and hands each *verified body* to `on_line`. Every failed
-/// line — torn, corrupt, unknown version, or rejected by `on_line` with
-/// a reason — is skipped with a warning carrying `skip_consequence`
-/// (e.g. `"the affected cell will re-run"`), never panicked over.
+/// Replays `path` line by line, verifying framing, checksum, JSON syntax,
+/// and schema version, and hands each *verified row* to `on_line`. Every
+/// failed line — torn, corrupt, unparseable, unknown version, or rejected
+/// by `on_line` with a reason — is skipped with a warning carrying
+/// `skip_consequence` (e.g. `"the affected cell will re-run"`), never
+/// panicked over.
 /// Returns the number of skipped lines. A missing file replays as empty.
 pub fn replay_lines(
     path: &Path,
     version: u64,
     skip_consequence: &str,
-    mut on_line: impl FnMut(&str) -> Result<(), String>,
+    mut on_line: impl FnMut(&Json) -> Result<(), String>,
 ) -> std::io::Result<usize> {
     let mut text = String::new();
     match File::open(path) {
@@ -239,13 +154,9 @@ pub fn replay_lines(
         if line.is_empty() {
             continue;
         }
-        let why = match unseal_line(line) {
-            None => "torn or unframed line".to_string(),
-            Some((body, crc)) if fnv1a(body.as_bytes()) != crc => "checksum mismatch".to_string(),
-            Some((body, _)) if json_u64(body, "v") != Some(version) => {
-                "unknown schema version".to_string()
-            }
-            Some((body, _)) => match on_line(body) {
+        let why = match verified_row(line, version) {
+            Err(why) => why.to_string(),
+            Ok(row) => match on_line(&row) {
                 Ok(()) => continue,
                 Err(why) => why,
             },
@@ -260,6 +171,20 @@ pub fn replay_lines(
     Ok(skipped)
 }
 
+/// One line's framing, checksum, syntax, and version checks: the parsed
+/// row, or why the line is skipped.
+fn verified_row(line: &str, version: u64) -> Result<Json, &'static str> {
+    let (body, crc) = unseal_line(line).ok_or("torn or unframed line")?;
+    if fnv1a(body.as_bytes()) != crc {
+        return Err("checksum mismatch");
+    }
+    let row = json::parse(&format!("{body}}}")).map_err(|_| "malformed JSON")?;
+    if row.get("v").and_then(Json::as_u64) != Some(version) {
+        return Err("unknown schema version");
+    }
+    Ok(row)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,42 +195,56 @@ mod tests {
         dir.join(name)
     }
 
+    fn n_row(version: u64, n: u64) -> Json {
+        row(version, "n", Json::obj([("n", Json::UInt(n))]))
+    }
+
     #[test]
     fn sealed_lines_round_trip_and_verify() {
-        let body = "{\"v\":1,\"kind\":\"x\",\"s\":\"a\\\"b\"";
-        let line = seal_line(body);
+        let r = row(1, "x", Json::obj([("s", Json::Str("a\"b".into()))]));
+        let line = seal_line(&r);
+        let body = r#"{"kind":"x","s":"a\"b","v":1"#;
+        assert_eq!(
+            line,
+            format!("{body},\"crc\":{}}}\n", fnv1a(body.as_bytes()))
+        );
         let (back, crc) = unseal_line(line.trim_end()).unwrap();
         assert_eq!(back, body);
         assert_eq!(crc, fnv1a(body.as_bytes()));
+        assert_eq!(verified_row(line.trim_end(), 1), Ok(r));
     }
 
     #[test]
     fn torn_corrupt_and_future_lines_are_skipped_with_warnings() {
         let path = tmp("mixed.jsonl");
         let mut w = LineWriter::create(&path).unwrap();
-        w.write_sealed("{\"v\":1,\"n\":1").unwrap();
-        w.write_sealed("{\"v\":1,\"n\":2").unwrap();
-        w.write_sealed("{\"v\":99,\"n\":3").unwrap();
+        w.write_sealed(&n_row(1, 1)).unwrap();
+        w.write_sealed(&n_row(1, 2)).unwrap();
+        w.write_sealed(&n_row(99, 3)).unwrap();
         w.sync().unwrap();
         drop(w);
-        // Tear the tail and corrupt line 2.
-        let text = std::fs::read_to_string(&path).unwrap();
+        // Append a correctly sealed body that is not JSON, then corrupt
+        // line 2 and tear the tail.
+        let bad = "{\"v\":1,\"n\":";
+        let text = std::fs::read_to_string(&path).unwrap()
+            + &format!("{bad},\"crc\":{}}}\n", fnv1a(bad.as_bytes()));
         let corrupted = text.replacen("\"n\":2", "\"n\":5", 1) + "{\"v\":1,\"n\":4,\"crc";
         std::fs::write(&path, corrupted).unwrap();
         let mut seen = Vec::new();
         let mut skipped = 0;
         let warnings = fairsched_obs::log::capture(|| {
-            skipped = replay_lines(&path, 1, "row ignored", |body| {
-                seen.push(json_u64(body, "n").unwrap());
+            skipped = replay_lines(&path, 1, "row ignored", |row| {
+                seen.push(row.get("n").and_then(Json::as_u64).unwrap());
                 Ok(())
             })
             .unwrap();
         });
         assert_eq!(seen, vec![1]);
-        assert_eq!(skipped, 3);
+        assert_eq!(skipped, 4);
         assert!(warnings.iter().any(|(_, m)| m.contains("checksum")));
         assert!(warnings.iter().any(|(_, m)| m.contains("schema version")));
         assert!(warnings.iter().any(|(_, m)| m.contains("torn")));
+        assert!(warnings.iter().any(|(_, m)| m.contains("malformed JSON")));
     }
 
     #[test]
@@ -321,7 +260,7 @@ mod tests {
     fn consumer_rejections_count_as_skips() {
         let path = tmp("rejected.jsonl");
         let mut w = LineWriter::create(&path).unwrap();
-        w.write_sealed("{\"v\":1,\"n\":1").unwrap();
+        w.write_sealed(&n_row(1, 1)).unwrap();
         w.sync().unwrap();
         drop(w);
         let mut skipped = 0;

@@ -1,12 +1,14 @@
-//! A minimal JSON value model, parser, and emitter.
+//! A minimal JSON value model, parser, and emitter: the workspace's one
+//! JSON codec.
 //!
-//! The workspace vendors `serde` as a no-op API stub (no registry access),
-//! so the service speaks JSON through this hand-rolled module instead —
-//! the same choice `fairsched-obs` made for `TraceRecord::to_jsonl`. The
-//! subset is exactly what the wire protocol needs: objects, arrays,
-//! strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes, integers up to `u64`,
-//! floats, booleans, and null. Emission of integers is exact (no float
-//! round-trip), which matters for `Time` values past 2^53.
+//! Both durable journals ([`crate::journal`]) and the online service's
+//! wire protocol read and write through [`Json`]. The subset is exactly
+//! what they need: objects, arrays, strings with `\"`/`\\`/`\n`/`\t`/`\u`
+//! escapes, integers up to `u64`, floats, booleans, and null. Emission of
+//! integers is exact (no float round-trip), which matters for `Time`
+//! values past 2^53; floats render with Rust's shortest round-trip
+//! `Display` (non-finite ones as `null`), so a parsed float is
+//! bit-identical to the one written.
 
 use std::collections::BTreeMap;
 use std::fmt;

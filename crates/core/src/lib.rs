@@ -18,6 +18,8 @@
 //! * [`journal`] — the shared checksummed-JSONL framing (sealed lines,
 //!   torn-write-tolerant replay) behind both the sweep journal and the
 //!   online service's submission journal;
+//! * [`json`] — the workspace's one JSON codec (value model, parser,
+//!   emitter), used by both journals and the service's wire protocol;
 //! * [`report`] — fixed-width text rendering of the figure/table rows the
 //!   experiment binaries print;
 //! * [`gantt`] — ASCII schedule visualization (per-job Gantt bars and a
@@ -44,6 +46,7 @@
 
 pub mod gantt;
 pub mod journal;
+pub mod json;
 pub mod policy;
 pub mod report;
 pub mod runner;

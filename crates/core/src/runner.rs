@@ -15,7 +15,7 @@ use fairsched_metrics::fairness::hybrid::HybridFstObserver;
 use fairsched_metrics::fairness::resilience::ResilienceReport;
 use fairsched_metrics::user;
 use fairsched_obs::counters::{CounterSnapshot, ProfileReport, ProfileScope};
-use fairsched_obs::TraceSink;
+use fairsched_obs::TraceRecord;
 use fairsched_sim::{
     simulate, CancelToken, FaultConfig, OriginalOutcome, Schedule, SimError, SimOptions,
 };
@@ -130,16 +130,16 @@ pub fn try_run_policy(
     try_run_policy_traced(trace, policy, nodes, opts, None)
 }
 
-/// [`try_run_policy`] with an optional decision-trace sink. When `sink` is
+/// [`try_run_policy`] with optional decision tracing. When `records` is
 /// `Some`, every scheduling decision of the single underlying simulation is
-/// recorded into it; the returned run is byte-identical to the untraced one
+/// appended to it; the returned run is byte-identical to the untraced one
 /// (emission never feeds back into the schedule — pinned by proptest).
 pub fn try_run_policy_traced(
     trace: &[Job],
     policy: &PolicySpec,
     nodes: u32,
     opts: &RunOptions,
-    sink: Option<&mut dyn TraceSink>,
+    records: Option<&mut Vec<TraceRecord>>,
 ) -> Result<PolicyRun, SimError> {
     let mut cfg = policy.sim_config(nodes);
     cfg.faults = opts.faults.clone();
@@ -150,8 +150,8 @@ pub fn try_run_policy_traced(
     let started = std::time::Instant::now();
     let mut hybrid = HybridFstObserver::new();
     let mut sim_opts = SimOptions::new();
-    if let Some(sink) = sink {
-        sim_opts = sim_opts.trace(sink);
+    if let Some(records) = records {
+        sim_opts = sim_opts.trace(records);
     }
     if let Some(cancel) = opts.cancel.clone() {
         sim_opts = sim_opts.cancel(cancel);
@@ -298,7 +298,7 @@ mod tests {
     fn traced_run_matches_untraced_run() {
         let trace = small_trace();
         let p = PolicySpec::by_id("easy.nomax").unwrap();
-        let mut records: Vec<fairsched_obs::TraceRecord> = Vec::new();
+        let mut records: Vec<TraceRecord> = Vec::new();
         let traced =
             try_run_policy_traced(&trace, &p, 1024, &RunOptions::default(), Some(&mut records))
                 .unwrap();
@@ -308,7 +308,7 @@ mod tests {
         // Every submission start shows up as a decision record.
         let starts = records
             .iter()
-            .filter(|r| matches!(r, fairsched_obs::TraceRecord::JobStarted { .. }))
+            .filter(|r| matches!(r, TraceRecord::JobStarted { .. }))
             .count();
         assert_eq!(starts, traced.outcome.schedule.records.len());
     }

@@ -4,24 +4,22 @@
 //! Layout: one header line carrying the plan fingerprint and cell count,
 //! then one line per *terminal* cell outcome (ok / failed / timed_out /
 //! poisoned — in-process retries are not journaled). The wire discipline —
-//! sealed `"crc"` lines, torn-write tolerance, schema-version skipping,
-//! hand-rolled JSON (the workspace's serde is a deliberate no-op stub) —
+//! sealed `"crc"` lines, torn-write tolerance, schema-version skipping —
 //! lives in the shared [`crate::journal`] module, which the online
-//! service's submission journal uses too. This module owns only the sweep
-//! schema: what a cell row says and how a replay folds rows into resume
-//! state.
+//! service's submission journal uses too, and rows are [`Json`] values
+//! rendered by [`crate::json`] (keys sorted). This module owns only the
+//! sweep schema: what a cell row says and how a replay folds rows into
+//! resume state.
 //!
-//! Floats are written with Rust's shortest-round-trip `Display` and read
-//! back with `str::parse::<f64>`, which makes a replayed row's metrics
-//! bit-identical to the run that produced them — the property the
-//! kill-and-resume test pins.
+//! Floats render with Rust's shortest-round-trip `Display` and parse back
+//! exactly, which makes a replayed row's metrics bit-identical to the run
+//! that produced them — the property the kill-and-resume test pins. A
+//! metric that is not a finite number (`null` on the wire) makes the row
+//! malformed; it is never read as a default.
 
-use crate::journal::{
-    escape, json_f64, json_f64_array, json_str, json_u32, json_u64, replay_lines, seal_line,
-    LineWriter,
-};
+use crate::journal::{replay_lines, row, seal_line, LineWriter};
+use crate::json::Json;
 use crate::runner::OutcomeMetrics;
-use fairsched_workload::categories::WIDTH_BUCKETS;
 use std::path::Path;
 
 /// The journal schema version this build writes.
@@ -87,79 +85,93 @@ pub struct CellRow {
     pub metrics: Option<OutcomeMetrics>,
 }
 
-fn fmt_array(vals: &[f64]) -> String {
-    let inner: Vec<String> = vals.iter().map(|v| format!("{v}")).collect();
-    format!("[{}]", inner.join(","))
-}
-
-fn header_body(fingerprint: u64, cells: u64) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"header\",\"fingerprint\":{fingerprint},\"cells\":{cells}"
+fn header_row(fingerprint: u64, cells: u64) -> Json {
+    row(
+        SCHEMA_VERSION,
+        "header",
+        Json::obj([
+            ("fingerprint", Json::UInt(fingerprint)),
+            ("cells", Json::UInt(cells)),
+        ]),
     )
 }
 
+fn f64_array(vals: &[f64]) -> Json {
+    Json::Arr(vals.iter().copied().map(Json::Float).collect())
+}
+
+/// A fixed-width array of numbers; `None` on any other shape.
+fn f64_array_from<const N: usize>(v: Option<&Json>) -> Option<[f64; N]> {
+    let vals: Vec<f64> = v?
+        .as_arr()?
+        .iter()
+        .map(Json::as_f64)
+        .collect::<Option<_>>()?;
+    vals.try_into().ok()
+}
+
 impl CellRow {
-    fn body(&self) -> String {
-        let mut b = format!(
-            "{{\"v\":{SCHEMA_VERSION},\"kind\":\"cell\",\"cell\":{},\"policy\":\"{}\",\
-             \"workload_seed\":{},\"fault\":\"{}\",\"fault_seed\":{},\"status\":\"{}\",\
-             \"attempts\":{},\"detail\":\"{}\"",
-            self.cell,
-            escape(&self.policy),
-            self.workload_seed,
-            escape(&self.fault),
-            self.fault_seed,
-            self.status.as_str(),
-            self.attempts,
-            escape(&self.detail),
-        );
+    /// The journal row: schema version, `"kind":"cell"`, every field, and
+    /// the metrics when present.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("cell", Json::UInt(self.cell)),
+            ("policy", Json::Str(self.policy.clone())),
+            ("workload_seed", Json::UInt(self.workload_seed)),
+            ("fault", Json::Str(self.fault.clone())),
+            ("fault_seed", Json::UInt(self.fault_seed)),
+            ("status", Json::Str(self.status.as_str().into())),
+            ("attempts", Json::UInt(self.attempts.into())),
+            ("detail", Json::Str(self.detail.clone())),
+        ];
         if let Some(m) = &self.metrics {
-            b.push_str(&format!(
-                ",\"percent_unfair\":{},\"average_miss_time\":{},\"average_turnaround\":{},\
-                 \"loss_of_capacity\":{},\"utilization\":{},\"miss_by_width\":{},\
-                 \"turnaround_by_width\":{}",
-                m.percent_unfair,
-                m.average_miss_time,
-                m.average_turnaround,
-                m.loss_of_capacity,
-                m.utilization,
-                fmt_array(&m.miss_by_width),
-                fmt_array(&m.turnaround_by_width),
-            ));
+            fields.extend([
+                ("percent_unfair", Json::Float(m.percent_unfair)),
+                ("average_miss_time", Json::Float(m.average_miss_time)),
+                ("average_turnaround", Json::Float(m.average_turnaround)),
+                ("loss_of_capacity", Json::Float(m.loss_of_capacity)),
+                ("utilization", Json::Float(m.utilization)),
+                ("miss_by_width", f64_array(&m.miss_by_width)),
+                ("turnaround_by_width", f64_array(&m.turnaround_by_width)),
+            ]);
         }
-        b
+        row(SCHEMA_VERSION, "cell", Json::obj(fields))
     }
 
     /// The sealed JSONL line (newline included).
     pub fn to_jsonl(&self) -> String {
-        seal_line(&self.body())
+        seal_line(&self.to_json())
     }
 
-    /// Parses a *verified* body (checksum already checked by the caller).
-    fn from_body(body: &str) -> Option<CellRow> {
-        let status = CellStatus::parse(&json_str(body, "status")?)?;
+    /// Decodes a cell row; `None` when a field is missing, mistyped, or
+    /// out of range (the replay then skips the line).
+    pub fn from_json(v: &Json) -> Option<CellRow> {
+        let u64_of = |key: &str| v.get(key).and_then(Json::as_u64);
+        let f64_of = |key: &str| v.get(key).and_then(Json::as_f64);
+        let str_of = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+        let status = CellStatus::parse(v.get("status").and_then(Json::as_str)?)?;
         let metrics = if status == CellStatus::Ok {
             Some(OutcomeMetrics {
-                percent_unfair: json_f64(body, "percent_unfair")?,
-                average_miss_time: json_f64(body, "average_miss_time")?,
-                average_turnaround: json_f64(body, "average_turnaround")?,
-                loss_of_capacity: json_f64(body, "loss_of_capacity")?,
-                utilization: json_f64(body, "utilization")?,
-                miss_by_width: json_f64_array::<WIDTH_BUCKETS>(body, "miss_by_width")?,
-                turnaround_by_width: json_f64_array::<WIDTH_BUCKETS>(body, "turnaround_by_width")?,
+                percent_unfair: f64_of("percent_unfair")?,
+                average_miss_time: f64_of("average_miss_time")?,
+                average_turnaround: f64_of("average_turnaround")?,
+                loss_of_capacity: f64_of("loss_of_capacity")?,
+                utilization: f64_of("utilization")?,
+                miss_by_width: f64_array_from(v.get("miss_by_width"))?,
+                turnaround_by_width: f64_array_from(v.get("turnaround_by_width"))?,
             })
         } else {
             None
         };
         Some(CellRow {
-            cell: json_u64(body, "cell")?,
-            policy: json_str(body, "policy")?,
-            workload_seed: json_u64(body, "workload_seed")?,
-            fault: json_str(body, "fault")?,
-            fault_seed: json_u64(body, "fault_seed")?,
+            cell: u64_of("cell")?,
+            policy: str_of("policy")?,
+            workload_seed: u64_of("workload_seed")?,
+            fault: str_of("fault")?,
+            fault_seed: u64_of("fault_seed")?,
             status,
-            attempts: json_u32(body, "attempts")?,
-            detail: json_str(body, "detail")?,
+            attempts: u32::try_from(u64_of("attempts")?).ok()?,
+            detail: str_of("detail")?,
             metrics,
         })
     }
@@ -188,7 +200,7 @@ impl JournalWriter {
             pending: 0,
             batch: SYNC_BATCH,
         };
-        w.write_body(&header_body(fingerprint, cells))?;
+        w.write_sealed(&header_row(fingerprint, cells))?;
         w.sync()?;
         Ok(w)
     }
@@ -202,8 +214,8 @@ impl JournalWriter {
         })
     }
 
-    fn write_body(&mut self, body: &str) -> std::io::Result<()> {
-        let bytes = self.out.write_sealed(body)?;
+    fn write_sealed(&mut self, row: &Json) -> std::io::Result<()> {
+        let bytes = self.out.write_sealed(row)?;
         // Hand the row to the kernel right away: a SIGKILLed process then
         // loses nothing — only the fsync (power-cut durability) is
         // batched, because it is the expensive half.
@@ -218,7 +230,7 @@ impl JournalWriter {
 
     /// Appends one sealed row.
     pub fn write_row(&mut self, row: &CellRow) -> std::io::Result<()> {
-        self.write_body(&row.body())
+        self.write_sealed(&row.to_json())
     }
 
     /// Flushes buffered rows and fsyncs the file.
@@ -276,13 +288,13 @@ pub fn replay(path: &Path) -> std::io::Result<JournalReplay> {
         path,
         SCHEMA_VERSION,
         "the affected cell will re-run",
-        |body| match json_str(body, "kind").as_deref() {
+        |row| match row.get("kind").and_then(Json::as_str) {
             Some("header") => {
-                replay.fingerprint = json_u64(body, "fingerprint");
-                replay.cells = json_u64(body, "cells");
+                replay.fingerprint = row.get("fingerprint").and_then(Json::as_u64);
+                replay.cells = row.get("cells").and_then(Json::as_u64);
                 Ok(())
             }
-            Some("cell") => match CellRow::from_body(body) {
+            Some("cell") => match CellRow::from_json(row) {
                 Some(row) => {
                     replay.rows.push(row);
                     Ok(())
@@ -301,7 +313,7 @@ mod tests {
     use super::*;
     use crate::journal::{fnv1a, unseal_line};
 
-    fn row(cell: u64, status: CellStatus) -> CellRow {
+    fn cell_row(cell: u64, status: CellStatus) -> CellRow {
         CellRow {
             cell,
             policy: "cplant24.nomax.all".into(),
@@ -346,7 +358,10 @@ mod tests {
     #[test]
     fn rows_round_trip_bit_exactly() {
         let path = tmp("roundtrip.jsonl");
-        let rows = vec![row(0, CellStatus::Ok), row(1, CellStatus::Poisoned)];
+        let rows = vec![
+            cell_row(0, CellStatus::Ok),
+            cell_row(1, CellStatus::Poisoned),
+        ];
         write_journal(&path, &rows);
         let replay = replay(&path).unwrap();
         assert_eq!(replay.fingerprint, Some(99));
@@ -358,7 +373,10 @@ mod tests {
     #[test]
     fn truncated_final_line_is_skipped_with_a_warning() {
         let path = tmp("truncated.jsonl");
-        write_journal(&path, &[row(0, CellStatus::Ok), row(1, CellStatus::Ok)]);
+        write_journal(
+            &path,
+            &[cell_row(0, CellStatus::Ok), cell_row(1, CellStatus::Ok)],
+        );
         // Tear the last line mid-write, as a SIGKILL would.
         let text = std::fs::read_to_string(&path).unwrap();
         let torn = &text[..text.len() - 25];
@@ -377,7 +395,10 @@ mod tests {
     #[test]
     fn corrupted_checksum_is_skipped_with_a_warning() {
         let path = tmp("corrupt.jsonl");
-        write_journal(&path, &[row(0, CellStatus::Ok), row(1, CellStatus::Ok)]);
+        write_journal(
+            &path,
+            &[cell_row(0, CellStatus::Ok), cell_row(1, CellStatus::Ok)],
+        );
         // Flip a metric digit in row 0's line; its crc no longer matches.
         let text = std::fs::read_to_string(&path).unwrap();
         let corrupted = text.replacen("0.25", "0.35", 1);
@@ -395,9 +416,9 @@ mod tests {
     #[test]
     fn unknown_schema_version_is_skipped_with_a_warning() {
         let path = tmp("version.jsonl");
-        write_journal(&path, &[row(0, CellStatus::Ok)]);
+        write_journal(&path, &[cell_row(0, CellStatus::Ok)]);
         // Append a validly-sealed row from a "future" schema.
-        let future = seal_line("{\"v\":999,\"kind\":\"cell\",\"cell\":5");
+        let future = seal_line(&row(999, "cell", Json::obj([("cell", Json::UInt(5))])));
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&future);
         std::fs::write(&path, text).unwrap();
@@ -420,11 +441,14 @@ mod tests {
     #[test]
     fn latest_rows_dedupes_and_sorts() {
         let path = tmp("dedupe.jsonl");
-        let mut first = row(3, CellStatus::Ok);
+        let mut first = cell_row(3, CellStatus::Ok);
         first.attempts = 1;
-        let mut dup = row(3, CellStatus::Ok);
+        let mut dup = cell_row(3, CellStatus::Ok);
         dup.attempts = 2;
-        write_journal(&path, &[first.clone(), row(1, CellStatus::Failed), dup]);
+        write_journal(
+            &path,
+            &[first.clone(), cell_row(1, CellStatus::Failed), dup],
+        );
         let replay = super::replay(&path).unwrap();
         let latest = replay.latest_rows();
         assert_eq!(latest.len(), 2);
@@ -435,12 +459,71 @@ mod tests {
 
     #[test]
     fn detail_strings_survive_escaping() {
-        let r = row(0, CellStatus::Poisoned);
-        let line = r.to_jsonl();
-        let (body, crc) = unseal_line(line.trim_end()).unwrap();
-        assert_eq!(fnv1a(body.as_bytes()), crc);
-        let parsed = CellRow::from_body(body).unwrap();
-        assert_eq!(parsed.detail, "it \"broke\"\nbadly");
-        assert_eq!(parsed, r);
+        for detail in [
+            "it \"broke\"\nbadly",
+            "a \\ backslash and a trailing one \\",
+            "bell \u{7}, tab \t, nul \u{0}",
+            "non-ASCII: déjà vu — 失敗 🚀",
+        ] {
+            let r = CellRow {
+                detail: detail.into(),
+                ..cell_row(0, CellStatus::Poisoned)
+            };
+            let line = r.to_jsonl();
+            assert_eq!(line.matches('\n').count(), 1, "{line}");
+            let (body, crc) = unseal_line(line.trim_end()).unwrap();
+            assert_eq!(fnv1a(body.as_bytes()), crc);
+            let parsed = CellRow::from_json(&crate::json::parse(&format!("{body}}}")).unwrap());
+            assert_eq!(parsed.as_ref().map(|p| p.detail.as_str()), Some(detail));
+            assert_eq!(parsed, Some(r));
+        }
+    }
+
+    #[test]
+    fn null_or_nan_metrics_are_malformed_not_zero() {
+        let path = tmp("nan.jsonl");
+        let mut nan = cell_row(0, CellStatus::Ok);
+        nan.metrics.as_mut().unwrap().average_miss_time = f64::NAN;
+        let mut null_width = cell_row(1, CellStatus::Ok);
+        null_width.metrics.as_mut().unwrap().miss_by_width[3] = f64::INFINITY;
+        write_journal(&path, &[nan, null_width, cell_row(2, CellStatus::Ok)]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"average_miss_time\":null"), "{text}");
+        let mut got = None;
+        let warnings = fairsched_obs::log::capture(|| got = Some(super::replay(&path).unwrap()));
+        let replay = got.unwrap();
+        assert_eq!(replay.skipped, 2);
+        assert_eq!(replay.rows, vec![cell_row(2, CellStatus::Ok)]);
+        assert!(warnings
+            .iter()
+            .any(|(_, m)| m.contains("malformed cell row")));
+    }
+
+    /// The committed size-based journals, whose keys are in field
+    /// declaration order rather than sorted, replay in full and exactly.
+    #[test]
+    fn committed_result_journals_replay_in_full() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for (file, fingerprint, first_unfair) in [
+            ("size_based.jsonl", 1249493366402676484, 0.09474161378059837),
+            (
+                "size_based.exact.jsonl",
+                5751725067904951324,
+                0.056890299184043515,
+            ),
+        ] {
+            let replay = super::replay(&dir.join(file)).unwrap();
+            assert_eq!(replay.fingerprint, Some(fingerprint), "{file}");
+            assert_eq!(replay.cells, Some(15), "{file}");
+            assert_eq!(replay.skipped, 0, "{file}");
+            assert_eq!(replay.rows.len(), 15, "{file}");
+            let unfair = replay.rows[0].metrics.as_ref().unwrap().percent_unfair;
+            assert_eq!(unfair.to_bits(), f64::to_bits(first_unfair), "{file}");
+            for r in &replay.rows {
+                assert_eq!(r.status, CellStatus::Ok, "{file}");
+                let back = CellRow::from_json(&crate::json::parse(&r.to_json().render()).unwrap());
+                assert_eq!(back.as_ref(), Some(r), "{file}: re-encoding is lossless");
+            }
+        }
     }
 }

@@ -1,13 +1,19 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures, and runs the studies
+//! beyond them.
 //!
 //! ```text
-//! figures <id>   # one of table1 table2 fig03 … fig19
-//! figures all    # every one in paper order, from a single evaluation
+//! figures <id>   # one of table1 table2 fig03 … fig19, or a study:
+//!                # fig01_02 ablations cpa faults size_based
+//! figures all    # every table and figure in paper order, from a single
+//!                # evaluation (the studies are not included)
 //! ```
 //!
 //! Honors `FAIRSCHED_SEED` / `FAIRSCHED_SCALE` / `FAIRSCHED_NODES`. Tables
 //! 1–2 and Figures 4–7 characterize the workload alone; the others run the
-//! nine-policy evaluation. An unknown id exits 2 with the id list.
+//! nine-policy evaluation. The studies' extra knobs are listed in
+//! [`fairsched_experiments::studies`]. An unknown id exits 2 with the id
+//! list.
+use fairsched_experiments::studies::STUDIES;
 use fairsched_experiments::{characterization as ch, figures as f};
 use fairsched_experiments::{evaluate, Evaluation, ExperimentConfig};
 use fairsched_workload::job::Job;
@@ -49,15 +55,24 @@ fn main() {
         Some((_, Report::Trace(report))) => print!("{}", report(&cfg.trace())),
         Some((_, Report::Evaluated(report))) => print!("{}", report(&evaluate(cfg))),
         None if id == "all" => all(cfg),
-        None => {
-            let ids: Vec<&str> = REPORTS.iter().map(|(name, _)| *name).collect();
-            eprintln!(
-                "usage: figures <id>|all\nunknown id {id:?}; ids: {}",
-                ids.join(" ")
-            );
-            std::process::exit(2);
-        }
+        None => match STUDIES.iter().find(|(name, _)| *name == id) {
+            Some((_, study)) => study(&cfg),
+            None => usage(&id),
+        },
     }
+}
+
+fn usage(id: &str) -> ! {
+    let ids: Vec<&str> = REPORTS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(STUDIES.iter().map(|(name, _)| *name))
+        .collect();
+    eprintln!(
+        "usage: figures <id>|all\nunknown id {id:?}; ids: {}",
+        ids.join(" ")
+    );
+    std::process::exit(2);
 }
 
 /// Runs the nine policy simulations once and prints every artifact.

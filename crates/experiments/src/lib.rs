@@ -1,12 +1,13 @@
 //! # fairsched-experiments
 //!
 //! Regeneration harness for every table and figure in the paper's
-//! evaluation. Each `src/bin/` binary reproduces one artifact; this library
-//! holds the shared machinery so the whole evaluation (nine policy
-//! simulations plus fairness scoring) runs once per process.
+//! evaluation. The one `figures <id>` binary reproduces each artifact (and
+//! runs the [`studies`] beyond the paper); this library holds the shared
+//! machinery so the whole evaluation (nine policy simulations plus fairness
+//! scoring) runs once per process.
 //!
-//! Configuration comes from environment variables so the same binaries
-//! serve quick smoke runs and the full reproduction:
+//! Configuration comes from environment variables so the same binary
+//! serves quick smoke runs and the full reproduction:
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
@@ -27,6 +28,7 @@ use fairsched_workload::CplantModel;
 pub mod ablations;
 pub mod characterization;
 pub mod figures;
+pub mod studies;
 
 /// Workload / machine configuration for an evaluation run.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -19,10 +19,11 @@
 //! [`Time`](fairsched_workload::time::Time)): the simulator depends on
 //! *it*, never the other way around.
 //!
-//! Record serialization is newline-delimited JSON. The workspace's vendored
-//! `serde` is an API-surface stub whose derives expand to nothing, so
-//! [`TraceRecord::to_jsonl`] writes the line by hand — every field is
-//! numeric or a fixed tag, so no escaping machinery is needed.
+//! Record serialization is newline-delimited JSON.
+//! [`TraceRecord::to_jsonl`] writes each line directly: records are
+//! write-only and every field is numeric or a fixed tag, so no escaping is
+//! needed. (This crate sits below `fairsched-core`, whose `json` module is
+//! the workspace's one JSON codec.)
 
 pub mod counters;
 pub mod log;
@@ -31,4 +32,4 @@ pub mod trace;
 
 pub use counters::{CounterSnapshot, Histogram, ProfileReport, ProfileScope};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
-pub use trace::{DecisionTracer, StartCause, TraceBuf, TraceRecord, TraceSink};
+pub use trace::{StartCause, TraceBuf, TraceRecord};

@@ -3,19 +3,18 @@
 //! A [`TraceRecord`] is one scheduling decision (or one state sample),
 //! emitted at the moment it is made: who started and *why*, whose
 //! reservation moved, who got promoted out of starvation, which crashed
-//! submission was requeued. A [`TraceSink`] receives them; the stock sink
-//! is [`DecisionTracer`], a bounded ring buffer that keeps the most recent
-//! records and counts what it had to drop.
+//! submission was requeued. A traced batch run collects them into the
+//! caller's `Vec<TraceRecord>`; the online service streams them to
+//! subscribers.
 //!
 //! Emission sites inside the simulator hold shared (`&`) context, so they
 //! write into a [`TraceBuf`] — an owned, `Mutex`-guarded buffer the driver
-//! drains after every step and forwards to the caller's sink. The
-//! simulator is single-threaded per run, so the lock is uncontended by
-//! construction; it exists so a simulator state (with its trace buffer) is
-//! `Send` and can be handed to worker threads by the warm-start fan-out
-//! and the sweep watchdog.
+//! drains after every step and hands to the caller. The simulator is
+//! single-threaded per run, so the lock is uncontended by construction; it
+//! exists so a simulator state (with its trace buffer) is `Send` and can be
+//! handed to worker threads by the warm-start fan-out and the sweep
+//! watchdog.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -134,8 +133,9 @@ impl TraceRecord {
 
     /// Renders the record as one line of JSON (no trailing newline).
     ///
-    /// Hand-rolled because the vendored serde is a no-op stub; every field
-    /// is numeric or a fixed tag, so the writer needs no escaping.
+    /// Written directly rather than through a JSON value tree: the line is
+    /// write-only and every field is numeric or a fixed tag, so it needs no
+    /// escaping.
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(96);
         match self {
@@ -242,97 +242,6 @@ impl TraceRecord {
     }
 }
 
-/// Receives trace records as the simulation makes decisions.
-///
-/// Implementations must not observe or influence the simulation in any
-/// other way: the zero-interference proptests hold for *any* sink because
-/// the simulator never reads anything back from it. Sinks are `Send` so a
-/// traced simulator state can cross threads (parallel fan-outs, watchdog
-/// cancellation); emission itself still happens on one thread at a time.
-pub trait TraceSink: Send {
-    /// Accept one record. Called at most a few times per simulation event.
-    fn record(&mut self, rec: TraceRecord);
-}
-
-/// Collect everything, unbounded. Handy in tests.
-impl TraceSink for Vec<TraceRecord> {
-    fn record(&mut self, rec: TraceRecord) {
-        self.push(rec);
-    }
-}
-
-/// Bounded ring buffer of the most recent trace records.
-///
-/// When full, the oldest record is dropped and counted; `len + dropped`
-/// is the total number of records ever offered. [`DecisionTracer::unbounded`]
-/// keeps everything — use it when a later replay (JSONL export,
-/// `fairsched explain`) needs the full history.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionTracer {
-    buf: VecDeque<TraceRecord>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl DecisionTracer {
-    /// A tracer keeping at most `cap` records (the most recent ones).
-    pub fn new(cap: usize) -> Self {
-        DecisionTracer {
-            buf: VecDeque::new(),
-            cap: cap.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// A tracer that never evicts.
-    pub fn unbounded() -> Self {
-        Self::new(usize::MAX)
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
-    /// Consumes the tracer, yielding held records oldest first.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.buf.into()
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Records evicted to honor the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Writes every held record as JSONL to `w`.
-    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        for rec in &self.buf {
-            writeln!(w, "{}", rec.to_jsonl())?;
-        }
-        Ok(())
-    }
-}
-
-impl TraceSink for DecisionTracer {
-    fn record(&mut self, rec: TraceRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-}
-
 /// The owned buffer the simulator emits [`TraceRecord`]s into.
 ///
 /// Cheaply clonable (clones share storage), so engines emit through a
@@ -371,28 +280,6 @@ mod tests {
             nodes: 4,
             cause: StartCause::Fcfs,
         }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_the_most_recent_records() {
-        let mut t = DecisionTracer::new(3);
-        for i in 0..5 {
-            t.record(started(i, i as u32));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let ats: Vec<Time> = t.records().map(|r| r.at()).collect();
-        assert_eq!(ats, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn unbounded_tracer_never_drops() {
-        let mut t = DecisionTracer::unbounded();
-        for i in 0..10_000 {
-            t.record(started(i, 0));
-        }
-        assert_eq!(t.len(), 10_000);
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

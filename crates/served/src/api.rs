@@ -1,14 +1,15 @@
 //! The typed wire protocol `fairschedd` speaks.
 //!
 //! Every request and response is a plain struct with an explicit JSON
-//! encoding (via [`json`](crate::json) — the vendored `serde` is a no-op
-//! stub). Errors are typed at the API boundary: a submission dated before
+//! encoding through [`fairsched_core::json`], the workspace's one codec;
+//! [`SubmitRequest`]'s encoding doubles as the submission journal's row.
+//! Errors are typed at the API boundary: a submission dated before
 //! simulated time already granted is [`ServeError::NonMonotonicSubmit`],
 //! an unknown policy id is [`ServeError::UnknownPolicy`] wrapping the
 //! workspace's own [`PolicyIdError`] — never a panic, never a silent
 //! reorder.
 
-use crate::json::{Json, JsonError};
+use fairsched_core::json::{Json, JsonError};
 use fairsched_core::policy::PolicyIdError;
 use fairsched_metrics::fairness::peruser::UserFairness;
 use fairsched_metrics::fairness::stream::FairnessSnapshot;
@@ -696,7 +697,7 @@ mod tests {
 
     #[test]
     fn submit_request_rejects_missing_fields() {
-        let v = crate::json::parse(r#"{"id": 1, "user": 2}"#).unwrap();
+        let v = fairsched_core::json::parse(r#"{"id": 1, "user": 2}"#).unwrap();
         let err = SubmitRequest::from_json(&v).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest { .. }));
     }

@@ -18,7 +18,7 @@ use crate::api::{
     AdvanceResponse, SealResponse, ServeError, SessionSpec, StatusResponse, SubmitRequest,
     SubmitResponse,
 };
-use crate::json::{parse, Json};
+use fairsched_core::json::{parse, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;

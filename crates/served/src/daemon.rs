@@ -55,11 +55,11 @@
 use crate::api::{ServeError, SessionSpec, StatusResponse};
 use crate::clock::ClockMode;
 use crate::http::{read_request, write_response, write_stream_header, Request};
-use crate::json::{parse, Json};
 use crate::metrics::{route_label, ServiceMetrics};
 use crate::registry::SessionRegistry;
 use crate::session::{Session, SessionConfig};
 use crate::{api, SubmitRequest};
+use fairsched_core::json::{parse, Json};
 use fairsched_workload::job::JobId;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};

@@ -13,6 +13,11 @@
 //! session commits one `sync` per coalesced submission batch — so a
 //! power cut loses at most one batch, never a torn prefix.
 //!
+//! Rows are [`Json`] values with sorted keys. A submit row is the wire
+//! encoding [`SubmitRequest::to_json`] plus `"v"` and `"kind"`, and replay
+//! decodes it with [`SubmitRequest::from_json`], so the job field list
+//! lives only in [`crate::api`].
+//!
 //! Because the journal is an ordered prefix of the session's accepted
 //! history and the stepped core is deterministic, replaying the rows
 //! through a fresh [`Session`](crate::session::Session) reconstructs a
@@ -23,9 +28,8 @@
 use crate::api::{ServeError, SubmitRequest};
 use crate::clock::ClockMode;
 use crate::session::SessionConfig;
-use fairsched_core::journal::{
-    escape, json_f64, json_str, json_u32, json_u64, replay_lines, LineWriter,
-};
+use fairsched_core::journal::{replay_lines, row, LineWriter};
+use fairsched_core::json::Json;
 use fairsched_workload::time::Time;
 use std::path::{Path, PathBuf};
 
@@ -83,7 +87,7 @@ pub enum JournalEvent {
 
 /// What a journal replay recovered: the session's configuration from the
 /// header plus its accepted history in order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredSession {
     /// The session name the header recorded.
     pub name: String,
@@ -95,34 +99,52 @@ pub struct RecoveredSession {
     pub skipped: usize,
 }
 
-fn clock_body(mode: ClockMode) -> String {
-    match mode {
-        ClockMode::Manual => "\"clock\":\"manual\",\"speedup\":0".into(),
-        ClockMode::Realtime { speedup } => {
-            format!("\"clock\":\"realtime\",\"speedup\":{speedup}")
-        }
+fn header_row(name: &str, cfg: &SessionConfig) -> Json {
+    let (clock, speedup) = match cfg.clock {
+        ClockMode::Manual => ("manual", 0.0),
+        ClockMode::Realtime { speedup } => ("realtime", speedup),
+    };
+    row(
+        SCHEMA_VERSION,
+        "header",
+        Json::obj([
+            ("session", Json::Str(name.into())),
+            ("policy", Json::Str(cfg.policy.clone())),
+            ("nodes", Json::UInt(cfg.nodes.into())),
+            ("id_floor", Json::UInt(cfg.id_floor.into())),
+            ("traced", Json::UInt(cfg.traced.into())),
+            ("clock", Json::Str(clock.into())),
+            ("speedup", Json::Float(speedup)),
+        ]),
+    )
+}
+
+fn header_from_json(v: &Json) -> Option<RecoveredSession> {
+    let u32_of = |key: &str| u32::try_from(v.get(key)?.as_u64()?).ok();
+    let name = v.get("session")?.as_str()?;
+    if !valid_session_name(name) {
+        return None;
     }
-}
-
-fn header_body(name: &str, cfg: &SessionConfig) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"header\",\"session\":\"{}\",\"policy\":\"{}\",\
-         \"nodes\":{},\"id_floor\":{},\"traced\":{},{}",
-        escape(name),
-        escape(&cfg.policy),
-        cfg.nodes,
-        cfg.id_floor,
-        u8::from(cfg.traced),
-        clock_body(cfg.clock),
-    )
-}
-
-fn submit_body(req: &SubmitRequest) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"submit\",\"id\":{},\"user\":{},\"group\":{},\
-         \"submit\":{},\"nodes\":{},\"runtime\":{},\"estimate\":{}",
-        req.id, req.user, req.group, req.submit, req.nodes, req.runtime, req.estimate,
-    )
+    let clock = match v.get("clock")?.as_str()? {
+        "manual" => ClockMode::Manual,
+        "realtime" => ClockMode::Realtime {
+            speedup: v.get("speedup")?.as_f64()?,
+        },
+        _ => return None,
+    };
+    Some(RecoveredSession {
+        name: name.into(),
+        config: SessionConfig {
+            policy: v.get("policy")?.as_str()?.into(),
+            nodes: u32_of("nodes")?,
+            clock,
+            traced: v.get("traced")?.as_u64()? != 0,
+            id_floor: u32_of("id_floor")?,
+            ..SessionConfig::default()
+        },
+        events: Vec::new(),
+        skipped: 0,
+    })
 }
 
 /// The write half: owned by one [`Session`](crate::session::Session),
@@ -139,7 +161,7 @@ impl SessionJournal {
     pub fn create(dir: &Path, name: &str, cfg: &SessionConfig) -> std::io::Result<SessionJournal> {
         std::fs::create_dir_all(dir)?;
         let mut out = LineWriter::create(&journal_path(dir, name))?;
-        out.write_sealed(&header_body(name, cfg))?;
+        out.write_sealed(&header_row(name, cfg))?;
         out.sync()?;
         Ok(SessionJournal {
             out,
@@ -159,22 +181,22 @@ impl SessionJournal {
     /// Buffers one accepted submission. Returns bytes written.
     pub fn append_submit(&mut self, req: &SubmitRequest) -> std::io::Result<u64> {
         self.uncommitted = true;
-        self.out.write_sealed(&submit_body(req))
+        self.out
+            .write_sealed(&row(SCHEMA_VERSION, "submit", req.to_json()))
     }
 
     /// Buffers one clock grant. Returns bytes written.
     pub fn append_grant(&mut self, to: Time) -> std::io::Result<u64> {
         self.uncommitted = true;
-        self.out.write_sealed(&format!(
-            "{{\"v\":{SCHEMA_VERSION},\"kind\":\"grant\",\"to\":{to}"
-        ))
+        let fields = Json::obj([("to", Json::UInt(to))]);
+        self.out.write_sealed(&row(SCHEMA_VERSION, "grant", fields))
     }
 
     /// Buffers the seal marker. Returns bytes written.
     pub fn append_seal(&mut self) -> std::io::Result<u64> {
         self.uncommitted = true;
         self.out
-            .write_sealed(&format!("{{\"v\":{SCHEMA_VERSION},\"kind\":\"seal\""))
+            .write_sealed(&row(SCHEMA_VERSION, "seal", Json::obj([])))
     }
 
     /// Commits everything buffered since the last commit: one flush (the
@@ -204,64 +226,23 @@ pub fn replay(path: &Path) -> Result<Option<RecoveredSession>, ServeError> {
         path,
         SCHEMA_VERSION,
         "the row is lost to recovery",
-        |body| match json_str(body, "kind").as_deref() {
-            Some("header") => {
-                let parse = || -> Option<RecoveredSession> {
-                    let name = json_str(body, "session")?;
-                    if !valid_session_name(&name) {
-                        return None;
-                    }
-                    let clock = match json_str(body, "clock")?.as_str() {
-                        "manual" => ClockMode::Manual,
-                        "realtime" => ClockMode::Realtime {
-                            speedup: json_f64(body, "speedup")?,
-                        },
-                        _ => return None,
-                    };
-                    Some(RecoveredSession {
-                        name,
-                        config: SessionConfig {
-                            policy: json_str(body, "policy")?,
-                            nodes: json_u32(body, "nodes")?,
-                            clock,
-                            traced: json_u64(body, "traced")? != 0,
-                            id_floor: json_u32(body, "id_floor")?,
-                            ..SessionConfig::default()
-                        },
-                        events: Vec::new(),
-                        skipped: 0,
-                    })
-                };
-                match parse() {
-                    Some(r) if recovered.is_none() => {
-                        recovered = Some(r);
-                        Ok(())
-                    }
-                    Some(_) => Err("duplicate header".into()),
-                    None => Err("malformed header".into()),
+        |v| match v.get("kind").and_then(Json::as_str) {
+            Some("header") => match header_from_json(v) {
+                Some(r) if recovered.is_none() => {
+                    recovered = Some(r);
+                    Ok(())
                 }
-            }
-            Some("submit") => {
-                let parse = || -> Option<SubmitRequest> {
-                    Some(SubmitRequest {
-                        id: json_u32(body, "id")?,
-                        user: json_u32(body, "user")?,
-                        group: json_u32(body, "group")?,
-                        submit: json_u64(body, "submit")?,
-                        nodes: json_u32(body, "nodes")?,
-                        runtime: json_u64(body, "runtime")?,
-                        estimate: json_u64(body, "estimate")?,
-                    })
-                };
-                match parse() {
-                    Some(req) => {
-                        events.push(JournalEvent::Submit(req));
-                        Ok(())
-                    }
-                    None => Err("malformed submit row".into()),
+                Some(_) => Err("duplicate header".into()),
+                None => Err("malformed header".into()),
+            },
+            Some("submit") => match SubmitRequest::from_json(v) {
+                Ok(req) => {
+                    events.push(JournalEvent::Submit(req));
+                    Ok(())
                 }
-            }
-            Some("grant") => match json_u64(body, "to") {
+                Err(e) => Err(format!("malformed submit row: {e}")),
+            },
+            Some("grant") => match v.get("to").and_then(Json::as_u64) {
                 Some(to) => {
                     events.push(JournalEvent::Grant(to));
                     Ok(())
@@ -381,6 +362,61 @@ mod tests {
         let r = got.unwrap();
         assert_eq!(r.events, vec![JournalEvent::Submit(req(1, 0))]);
         assert_eq!(r.skipped, 1);
+    }
+
+    /// Rows with keys in field declaration order (`"v"` first) rather than
+    /// sorted recover to the same session as the writer's own rows.
+    #[test]
+    fn parent_format_journals_recover_identically() {
+        let dir = tmp_dir("parent-format");
+        let sealed = |body: &str| {
+            let crc = fairsched_core::journal::fnv1a(body.as_bytes());
+            format!("{body},\"crc\":{crc}}}\n")
+        };
+        let text: String = [
+            r#"{"v":1,"kind":"header","session":"legacy","policy":"easy.nomax","nodes":64,"id_floor":5,"traced":1,"clock":"realtime","speedup":2.5"#,
+            r#"{"v":1,"kind":"submit","id":6,"user":1,"group":1,"submit":0,"nodes":4,"runtime":100,"estimate":120"#,
+            r#"{"v":1,"kind":"grant","to":50"#,
+            r#"{"v":1,"kind":"submit","id":7,"user":1,"group":1,"submit":50,"nodes":4,"runtime":100,"estimate":120"#,
+            r#"{"v":1,"kind":"seal""#,
+        ]
+        .iter()
+        .map(|body| sealed(body))
+        .collect();
+        let legacy = journal_path(&dir, "legacy");
+        std::fs::write(&legacy, text).unwrap();
+        let old = replay(&legacy).unwrap().unwrap();
+
+        let cfg = SessionConfig {
+            policy: "easy.nomax".into(),
+            nodes: 64,
+            id_floor: 5,
+            traced: true,
+            clock: ClockMode::Realtime { speedup: 2.5 },
+            ..Default::default()
+        };
+        std::fs::remove_file(&legacy).unwrap();
+        let mut j = SessionJournal::create(&dir, "legacy", &cfg).unwrap();
+        j.append_submit(&req(6, 0)).unwrap();
+        j.append_grant(50).unwrap();
+        j.append_submit(&req(7, 50)).unwrap();
+        j.append_seal().unwrap();
+        j.commit().unwrap();
+        drop(j);
+        let new = replay(&legacy).unwrap().unwrap();
+
+        assert_eq!(old, new);
+        assert_eq!(old.config, cfg);
+        assert_eq!(old.skipped, 0);
+        assert_eq!(
+            old.events,
+            vec![
+                JournalEvent::Submit(req(6, 0)),
+                JournalEvent::Grant(50),
+                JournalEvent::Submit(req(7, 50)),
+                JournalEvent::Seal,
+            ]
+        );
     }
 
     #[test]

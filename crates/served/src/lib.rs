@@ -19,7 +19,8 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`json`] — hand-rolled JSON (the vendored `serde` is a no-op stub).
+//! * [`json`] — re-export of `fairsched_core::json`, the workspace's one
+//!   JSON codec (wire protocol and journals alike).
 //! * [`api`] — typed requests, responses, and [`ServeError`].
 //! * [`clock`] — [`VirtualClock`]: manual grants or scaled wall time.
 //! * [`journal`] — [`SessionJournal`]: the checksummed durability log
@@ -46,7 +47,7 @@ pub mod clock;
 pub mod daemon;
 pub mod http;
 pub mod journal;
-pub mod json;
+pub use fairsched_core::json;
 pub mod metrics;
 pub mod registry;
 pub mod session;

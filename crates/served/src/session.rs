@@ -118,7 +118,6 @@ struct Inner {
     core: Option<SteppedSim>,
     clock: VirtualClock,
     completed: Vec<JobRecord>,
-    started: HashMap<JobId, Time>,
     submissions: HashMap<JobId, SubmitRequest>,
     trace: Vec<TraceRecord>,
     subscribers: Vec<Subscriber>,
@@ -132,6 +131,31 @@ struct Inner {
     /// The highest clock horizon already journaled (grants are only
     /// journaled when they move this forward).
     journaled_granted: Time,
+}
+
+impl Inner {
+    /// Folds one step's effects into the session: completed records and
+    /// trace records are kept, and each trace record's JSONL line is queued
+    /// on `lines` for the subscribers. Returns the (started, completed)
+    /// counts.
+    fn apply(&mut self, effects: Vec<Effect>, lines: &mut Vec<String>) -> (u64, u64) {
+        let (mut started, mut completed) = (0, 0);
+        for effect in effects {
+            match effect {
+                Effect::Started { .. } => started += 1,
+                Effect::Completed { record } => {
+                    completed += 1;
+                    self.completed.push(record);
+                }
+                Effect::Trace { record } => {
+                    lines.push(record.to_jsonl());
+                    self.trace.push(record);
+                }
+                Effect::Admitted { .. } => {}
+            }
+        }
+        (started, completed)
+    }
 }
 
 /// A submission waiting in the batching queue, with the channel its
@@ -185,7 +209,6 @@ impl Session {
                 core: Some(core),
                 clock: VirtualClock::new(cfg.clock),
                 completed: Vec::new(),
-                started: HashMap::new(),
                 submissions: HashMap::new(),
                 trace: Vec::new(),
                 subscribers: Vec::new(),
@@ -433,29 +456,12 @@ impl Session {
         let Some(core) = core.as_mut() else {
             return Err(ServeError::Sealed);
         };
-        let mut started = 0;
-        let mut completed = 0;
+        let (mut started, mut completed) = (0, 0);
         let mut lines: Vec<String> = Vec::new();
         if core.next_wakeup().is_some_and(|t| t <= target) {
             let effects = core.step(SimEvent::AdvanceTo(target), stream)?;
             inner.steps += 1;
-            for effect in effects {
-                match effect {
-                    Effect::Started { job, at } => {
-                        started += 1;
-                        inner.started.insert(job, at);
-                    }
-                    Effect::Completed { record } => {
-                        completed += 1;
-                        inner.completed.push(record);
-                    }
-                    Effect::Trace { record } => {
-                        lines.push(record.to_jsonl());
-                        inner.trace.push(record);
-                    }
-                    Effect::Admitted { .. } => {}
-                }
-            }
+            (started, completed) = inner.apply(effects, &mut lines);
         }
         let now = inner.core.as_ref().expect("checked above").now();
         if !lines.is_empty() {
@@ -569,9 +575,10 @@ impl Session {
             .or_else(|| {
                 // Started but not finished: synthesize the record shape
                 // explain needs (only submit/start are read).
-                let start = *inner.started.get(&id)?;
+                let core = inner.core.as_ref()?;
+                let start = core.start_of(id)?;
                 let req = inner.submissions.get(&id)?;
-                let now = inner.core.as_ref().map_or(start, SteppedSim::now);
+                let now = core.now();
                 Some(JobRecord {
                     id,
                     origin: id,
@@ -633,19 +640,8 @@ impl Session {
         };
         let mut lines = Vec::new();
         while let Some(at) = core.next_wakeup() {
-            for effect in core.step(SimEvent::AdvanceTo(at), &mut inner.stream)? {
-                match effect {
-                    Effect::Started { job, at } => {
-                        inner.started.insert(job, at);
-                    }
-                    Effect::Completed { record } => inner.completed.push(record),
-                    Effect::Trace { record } => {
-                        lines.push(record.to_jsonl());
-                        inner.trace.push(record);
-                    }
-                    Effect::Admitted { .. } => {}
-                }
-            }
+            let effects = core.step(SimEvent::AdvanceTo(at), &mut inner.stream)?;
+            inner.apply(effects, &mut lines);
             inner.steps += 1;
         }
         inner.clock.jump_to(core.now());

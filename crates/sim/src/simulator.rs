@@ -33,7 +33,7 @@ use crate::starvation::starving_jobs;
 use crate::state::{ArrivalView, Observer, QueuedJob, RunningJob};
 use fairsched_cpa::alloc::AllocId;
 use fairsched_cpa::{frag, Allocator, CountingAllocator, LinearAllocator};
-use fairsched_obs::{counters, TraceBuf, TraceRecord, TraceSink};
+use fairsched_obs::{counters, TraceBuf, TraceRecord};
 use fairsched_workload::job::{GroupId, Job, JobId, UserId};
 use fairsched_workload::time::{Time, WEEK};
 use std::collections::{HashMap, HashSet};
@@ -582,7 +582,7 @@ pub(crate) struct Sim {
     acct: Accounting,
     // Decision tracing (None on untraced runs — the default). Records land
     // in an owned, shareable buffer the driver drains per step (the batch
-    // driver forwards them to the caller's sink; the stepped core returns
+    // driver appends them to the caller's Vec; the stepped core returns
     // them as effects). Emission never feeds back into scheduling;
     // `promoted` only dedupes StarvationPromoted records and is touched
     // only while tracing.
@@ -612,7 +612,7 @@ pub(crate) struct Sim {
 /// ```
 #[derive(Default)]
 pub struct SimOptions<'a> {
-    pub(crate) sink: Option<&'a mut dyn TraceSink>,
+    pub(crate) trace: Option<&'a mut Vec<TraceRecord>>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) faults: Option<crate::faults::FaultConfig>,
 }
@@ -626,12 +626,12 @@ impl<'a> SimOptions<'a> {
 
     /// Streams every scheduling decision (starts with their cause,
     /// reservation moves, starvation promotions, fault requeues) and a
-    /// per-event-batch queue sample into `sink` as [`TraceRecord`]s.
+    /// per-event-batch queue sample onto `records` as [`TraceRecord`]s.
     /// Tracing is strictly write-only: the returned `Schedule` is
     /// byte-identical to the untraced run (pinned by the workspace
     /// `obs_interference` proptests).
-    pub fn trace(mut self, sink: &'a mut dyn TraceSink) -> Self {
-        self.sink = Some(sink);
+    pub fn trace(mut self, records: &'a mut Vec<TraceRecord>) -> Self {
+        self.trace = Some(records);
         self
     }
 
@@ -660,7 +660,7 @@ impl<'a> SimOptions<'a> {
 /// into a [`SteppedSim`](crate::step::SteppedSim), grants the virtual
 /// clock one event batch at a time via
 /// [`SimEvent::AdvanceTo`](crate::step::SimEvent), and forwards
-/// [`Effect::Trace`](crate::step::Effect) records to the configured sink.
+/// [`Effect::Trace`](crate::step::Effect) records to the caller's buffer.
 /// Byte-exactness with the pre-step-core driver is pinned by the 34 FNV
 /// goldens in `tests/engine_equivalence.rs`.
 ///
@@ -702,8 +702,8 @@ pub fn simulate(
         }
         None => cfg,
     };
-    let mut sink = opts.sink;
-    let mut core = SteppedSim::with_trace_effects(cfg, sink.is_some())?;
+    let mut records = opts.trace;
+    let mut core = SteppedSim::with_trace_effects(cfg, records.is_some())?;
     if let Some(cancel) = opts.cancel {
         core.set_cancel(cancel);
     }
@@ -712,8 +712,8 @@ pub fn simulate(
     }
     while let Some(at) = core.next_wakeup() {
         for effect in core.step(SimEvent::AdvanceTo(at), observer)? {
-            if let (Effect::Trace { record }, Some(sink)) = (effect, sink.as_deref_mut()) {
-                sink.record(record);
+            if let (Effect::Trace { record }, Some(records)) = (effect, records.as_deref_mut()) {
+                records.push(record);
             }
         }
     }

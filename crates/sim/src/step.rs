@@ -408,15 +408,15 @@ mod tests {
         let cfg = cfg(10);
         let trace = [job(1, 1, 0, 10, 100), job(2, 2, 5, 10, 50)];
         // Batch-traced run, for the expected record sequence.
-        let mut tracer = fairsched_obs::DecisionTracer::unbounded();
+        let mut records = Vec::new();
         simulate(
             &trace,
             &cfg,
             &mut NullObserver,
-            SimOptions::new().trace(&mut tracer),
+            SimOptions::new().trace(&mut records),
         )
         .unwrap();
-        let expected: Vec<String> = tracer.records().map(|r| r.to_jsonl()).collect();
+        let expected: Vec<String> = records.iter().map(|r| r.to_jsonl()).collect();
         assert!(!expected.is_empty());
 
         let mut core = SteppedSim::with_trace_effects(&cfg, true).unwrap();

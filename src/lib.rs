@@ -63,8 +63,7 @@ pub mod prelude {
         UserFairness,
     };
     pub use fairsched_obs::{
-        CounterSnapshot, DecisionTracer, ProfileReport, ProfileScope, StartCause, TraceRecord,
-        TraceSink,
+        CounterSnapshot, ProfileReport, ProfileScope, StartCause, TraceRecord,
     };
     pub use fairsched_served::{
         AdvanceResponse, Client, ClockMode, Daemon, SealResponse, ServeError, Session,
