@@ -517,7 +517,7 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 },
                 nodes: parse_u32("--nodes", DEFAULT_NODES)?,
                 timeout_per_cell,
-                max_retries: parse_u64("--max-retries", 1)? as u32,
+                max_retries: parse_u32("--max-retries", 1)?,
                 resume: rest.iter().any(|a| a.as_str() == "--resume"),
                 threads,
                 faults: parse_faults()?,
@@ -1564,6 +1564,13 @@ mod tests {
             .unwrap_err()
             .0
             .contains("--scale"));
+        // One past u32::MAX is an error, not a silent wrap to 0 retries.
+        assert!(
+            parse(&args("sweep --journal s.jsonl --max-retries 4294967296"))
+                .unwrap_err()
+                .0
+                .contains("--max-retries")
+        );
         // `--resume` is a boolean flag: the token after it is still
         // validated, never swallowed as a value.
         assert!(parse(&args("sweep --journal s.jsonl --resume --bogus 1"))

@@ -11,11 +11,12 @@
 //! events) when computed naively. [`sabin_fsts_parallel`] collapses that two
 //! ways at once: for configurations
 //! [`fairsched_sim::warm_start_supported`] certifies, ONE master
-//! [`PrefixSimulator`] advances serially and is forked at each chunk
-//! boundary, with forks shipped to a scoped worker pool (no worker replays
-//! the prefix from scratch); ineligible configurations stripe from-scratch
-//! prefix queries over the same pool. Both paths produce FSTs identical to
-//! the serial [`sabin_fsts`].
+//! [`PrefixSimulator`] advances serially and is forked right after each
+//! target's admission, with forks resolved on a scoped worker pool (or on
+//! the calling thread for one worker; no query replays the prefix from
+//! scratch); ineligible configurations stripe from-scratch prefix queries
+//! over the same pool. Both paths produce FSTs identical to the serial
+//! [`sabin_fsts`].
 
 use crate::fairness::fst::{FstEntry, FstReport};
 use fairsched_sim::prefix::PrefixSimulator;
@@ -54,18 +55,17 @@ pub fn sabin_fsts(trace: &[Job], cfg: &SimConfig) -> HashMap<JobId, Time> {
 }
 
 /// [`sabin_fsts`] fanned across `threads` workers (defaulting to the
-/// machine's available parallelism), each owning a contiguous stripe of
-/// prefix targets.
+/// machine's available parallelism).
 ///
-/// When the configuration is [`warm_start_supported`], each worker keeps a
-/// warm [`PrefixSimulator`]: admitting one arrival advances a shared master
-/// state instead of replaying the whole prefix, so the stripe costs one
-/// incremental pass plus one early-exiting clone per target; stateful
-/// ledgers (static conservative) ride along by forking the master engine.
-/// Ineligible configurations (dynamic conservative, faults, runtime limits)
-/// fall back to from-scratch prefix simulations — still striped, still
-/// exact. Results are identical to [`sabin_fsts`] in every case (and
-/// independent of the thread count).
+/// When the configuration is [`warm_start_supported`], one warm master
+/// [`PrefixSimulator`] admits each arrival incrementally instead of
+/// replaying the whole prefix, and every target costs one early-exiting
+/// fork; stateful ledgers (static conservative) ride along by forking the
+/// master engine. Ineligible configurations (dynamic conservative, faults,
+/// runtime limits) fall back to from-scratch prefix simulations, each
+/// worker owning a contiguous stripe of prefix targets. Results are
+/// identical to [`sabin_fsts`] in every case (and independent of the thread
+/// count).
 pub fn sabin_fsts_parallel(
     trace: &[Job],
     cfg: &SimConfig,
@@ -109,11 +109,11 @@ fn sabin_fsts_parallel_for(
         })
         .clamp(1, n);
 
-    // Warm-start-eligible multi-worker runs take the fork pipeline: the
-    // naive striping below would have every worker rebuild its own prefix
-    // from scratch — O(workers · events) of pure replay, which is why
-    // BENCH_5 showed the "parallel" path losing to one thread.
-    if workers > 1 && warm_start_supported(cfg) {
+    // Warm-start-eligible runs take the fork pipeline: striping would have
+    // every worker rebuild its own prefix from scratch — O(workers ·
+    // events) of pure replay, which is why BENCH_5 showed the "parallel"
+    // path losing to one thread.
+    if warm_start_supported(cfg) {
         return warm_forked_fsts(cfg, &ordered, targets, workers)
             .into_iter()
             .collect();
@@ -145,22 +145,51 @@ fn sabin_fsts_parallel_for(
         .collect()
 }
 
-/// The warm-start fan-out: ONE master [`PrefixSimulator`] advances serially
-/// on this thread; right after each target is admitted the master is forked
-/// and the fork shipped to a worker, which runs only the scratch query
+/// Advances ONE master [`PrefixSimulator`] over `ordered` on this thread,
+/// handing `query` a fork taken right after each target's admission — the
+/// scratch state [`PrefixSimulator::start_of`] clones, byte for byte.
+fn fork_targets<'a>(
+    cfg: &'a SimConfig,
+    ordered: &[&Job],
+    targets: &HashSet<JobId>,
+    mut query: impl FnMut(PrefixSimulator<'a>, &Job),
+) {
+    let mut master = PrefixSimulator::new(cfg).expect("eligibility checked by caller");
+    for job in ordered {
+        master.admit(job).expect("jobs admitted in sorted order");
+        if targets.contains(&job.id) {
+            fairsched_obs::counters::record_warm_start(true);
+            query(master.fork(), job);
+        }
+    }
+}
+
+/// A target's start in its forked prefix run.
+fn resolve(fork: PrefixSimulator<'_>, id: JobId, submit: Time) -> Time {
+    fork.resolve_start(id, submit)
+        .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"))
+}
+
+/// The warm-start fan-out: the master advances serially (see
+/// [`fork_targets`]) and each fork runs only the scratch query
 /// ([`PrefixSimulator::resolve_start`]) — the dominant cost, since every
 /// target pays one partial re-simulation but the advance happens once.
-/// Total simulator work equals the serial warm path exactly (the old
-/// striping paid a from-scratch prefix replay per stripe on top); the
-/// queries fan out across workers. FSTs are identical to the serial path: a
-/// fork taken right after admission is byte-for-byte the scratch state
-/// [`PrefixSimulator::start_of`] clones.
+/// One worker resolves each fork on this thread; more ship the forks to a
+/// scoped pool, so the queries fan out while total simulator work stays
+/// that of the serial warm path.
 fn warm_forked_fsts(
     cfg: &SimConfig,
     ordered: &[&Job],
     targets: &HashSet<JobId>,
     workers: usize,
 ) -> Vec<(JobId, Time)> {
+    if workers == 1 {
+        let mut out = Vec::new();
+        fork_targets(cfg, ordered, targets, |fork, job| {
+            out.push((job.id, resolve(fork, job.id, job.submit)));
+        });
+        return out;
+    }
     // Bounded queue: forks are whole simulator states, so backpressure
     // keeps at most ~3 per worker alive (queued + in flight) when the
     // master outpaces the query workers.
@@ -180,24 +209,16 @@ fn warm_forked_fsts(
                         let Ok((fork, id, submit)) = msg else {
                             return out;
                         };
-                        let start = fork
-                            .resolve_start(id, submit)
-                            .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
-                        out.push((id, start));
+                        out.push((id, resolve(fork, id, submit)));
                     }
                 })
             })
             .collect();
-        let mut master = PrefixSimulator::new(cfg).expect("eligibility checked by caller");
-        for job in ordered {
-            master.admit(job).expect("jobs admitted in sorted order");
-            if targets.contains(&job.id) {
-                fairsched_obs::counters::record_warm_start(true);
-                // A send only fails if every worker is gone (panicked); the
-                // join below re-raises whatever killed them.
-                let _ = tx.send((master.fork(), job.id, job.submit));
-            }
-        }
+        fork_targets(cfg, ordered, targets, |fork, job| {
+            // A send only fails if every worker is gone (panicked); the
+            // join below re-raises whatever killed them.
+            let _ = tx.send((fork, job.id, job.submit));
+        });
         drop(tx);
         handles.into_iter().map(|h| h.join()).collect()
     });
@@ -210,8 +231,10 @@ fn warm_forked_fsts(
         .collect()
 }
 
-/// FSTs of the targets within `ordered[lo..hi]`, where `ordered` is the
-/// whole trace sorted by `(submit, id)`.
+/// From-scratch FSTs of the targets within `ordered[lo..hi]`, where
+/// `ordered` is the whole trace sorted by `(submit, id)`. Stateful or
+/// faulted configurations need this: every prefix run must replay its own
+/// history so engine-internal state matches the serial definition exactly.
 fn stripe_fsts(
     cfg: &SimConfig,
     ordered: &[&Job],
@@ -219,45 +242,22 @@ fn stripe_fsts(
     lo: usize,
     hi: usize,
 ) -> Vec<(JobId, Time)> {
-    if !ordered[lo..hi].iter().any(|j| targets.contains(&j.id)) {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    if warm_start_supported(cfg) {
-        let mut prefix = PrefixSimulator::new(cfg).expect("eligibility just checked");
-        for job in &ordered[..lo] {
-            prefix.admit(job).expect("jobs admitted in sorted order");
+    for (i, job) in ordered.iter().enumerate().take(hi).skip(lo) {
+        if !targets.contains(&job.id) {
+            continue;
         }
-        for job in &ordered[lo..hi] {
-            if targets.contains(&job.id) {
-                let start = prefix
-                    .start_of(job)
-                    .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
-                out.push((job.id, start));
-            } else {
-                prefix.admit(job).expect("jobs admitted in sorted order");
-            }
-        }
-    } else {
-        // Stateful or faulted configuration: every prefix run must replay
-        // its own history so engine-internal state matches the serial
-        // definition exactly.
-        for (i, job) in ordered.iter().enumerate().take(hi).skip(lo) {
-            if !targets.contains(&job.id) {
-                continue;
-            }
-            fairsched_obs::counters::record_warm_start(false);
-            let prefix: Vec<Job> = ordered[..=i].iter().map(|j| (*j).clone()).collect();
-            let schedule = simulate(&prefix, cfg, &mut NullObserver, SimOptions::new())
-                .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
-            let start = schedule
-                .records
-                .iter()
-                .find(|r| r.id == job.id)
-                .map(|r| r.start)
-                .expect("target job is in its own prefix");
-            out.push((job.id, start));
-        }
+        fairsched_obs::counters::record_warm_start(false);
+        let prefix: Vec<Job> = ordered[..=i].iter().map(|j| (*j).clone()).collect();
+        let schedule = simulate(&prefix, cfg, &mut NullObserver, SimOptions::new())
+            .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));
+        let start = schedule
+            .records
+            .iter()
+            .find(|r| r.id == job.id)
+            .map(|r| r.start)
+            .expect("target job is in its own prefix");
+        out.push((job.id, start));
     }
     out
 }

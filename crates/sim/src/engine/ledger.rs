@@ -1,29 +1,30 @@
 //! Reservation ledgers: the future promises a pass's admissions must
 //! respect.
 //!
-//! A ledger answers one question per walked job — may it start *now*? —
-//! but the bookkeeping behind that answer is what separates the policy
-//! families:
+//! Every engine runs the same backfill walk; a ledger answers its one
+//! question per walked job — may it start *now*? The admission rule, and
+//! the bookkeeping behind it, is what separates the policy families:
 //!
-//! * [`NoReservations`] — admitted iff it fits right now;
+//! * [`NoReservations`] — admitted iff it fits right now and nothing ahead
+//!   of it in the pass had to wait: strict FCFS (Figure 1);
 //! * [`HeadOfQueue`] — one aggressive (EASY-style) reservation computed per
 //!   pass for the blocked promoted job; backfills must finish under its
 //!   shadow or fit in its spare nodes;
 //! * [`ConservativeLedger`] — a per-job reservation made on arrival and
 //!   only ever improved (§5.3), or rebuilt wholesale at every event
-//!   (§5.4). The static ledger keeps an *incremental* planned-capacity
-//!   timeline across scheduling passes — a [`Profile`] holding every live
-//!   reservation — instead of re-seeding one from the queue at each
-//!   event, and supports [`snapshot`](ConservativeLedger::snapshot) /
-//!   [`restore`](ConservativeLedger::restore) so warm-started prefix
-//!   simulation can fork its exact state;
+//!   (§5.4); admitted once its reservation is due. The static ledger keeps
+//!   an *incremental* planned-capacity timeline across scheduling passes —
+//!   a [`Profile`] holding every live reservation — instead of re-seeding
+//!   one from the queue at each event; `Clone` forks its exact state for
+//!   warm-started prefix simulation;
 //! * [`DepthLedger`] — profile reservations for the first `n` jobs in
-//!   priority order, rebuilt per pass.
+//!   priority order, rebuilt per pass; admitted iff it fits the profile
+//!   right now.
 
-use super::{backfill, EngineCtx, QueueOrderStrategy, FAR_FUTURE};
+use super::{EngineCtx, FAR_FUTURE};
 use crate::profile::Profile;
 use crate::state::QueuedJob;
-use fairsched_obs::{counters, TraceRecord};
+use fairsched_obs::{counters, StartCause, TraceRecord};
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 use std::collections::{BTreeSet, HashMap};
@@ -65,6 +66,19 @@ pub(crate) fn aggressive_reservation(
     }
 }
 
+/// `p` plus running work (estimate-based) and the capacity lost to node
+/// outages: failed nodes step the available capacity down until their
+/// repair time, so plans never assume them.
+fn with_running(mut p: Profile, ctx: &EngineCtx<'_>) -> Profile {
+    for r in ctx.running {
+        p.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
+    }
+    for o in ctx.outages {
+        p.block_until(ctx.now, o.until, 1);
+    }
+    p
+}
+
 /// Whether a candidate backfill respects an aggressive reservation.
 fn respects(job: &QueuedJob, now: Time, res: Option<&mut Reservation>) -> bool {
     match res {
@@ -82,21 +96,9 @@ fn respects(job: &QueuedJob, now: Time, res: Option<&mut Reservation>) -> bool {
     }
 }
 
-/// A ledger's verdict on one walked job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// May start right now.
-    Start,
-    /// Must wait (and counts as bypassed by later starts).
-    Wait,
-    /// Can never be placed (wider than the machine); holds no slot and is
-    /// not counted as waiting.
-    Infeasible,
-}
-
 /// Reservation bookkeeping of one [`Engine`](super::Engine). Lifecycle
-/// callbacks mirror the engine's; per-pass hooks are driven by the backfill
-/// walk the ledger runs from [`ReservationLedger::select`].
+/// callbacks mirror the engine's; per-pass hooks are driven by the
+/// engine's backfill walk.
 pub trait ReservationLedger: Send {
     /// A job entered the queue (already present in `ctx.queue`).
     fn on_arrival(&mut self, _job: &QueuedJob, _ctx: &EngineCtx<'_>) {}
@@ -105,23 +107,24 @@ pub trait ReservationLedger: Send {
     /// A running job completed or was killed.
     fn on_complete(&mut self, _id: JobId) {}
 
-    /// One scheduling pass: walks the queue in `order` with the backfill
-    /// walk written for this ledger and returns the ids to start, in start
-    /// order.
-    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId>;
-
     /// Called once per scheduling pass before any admission query.
     /// `blocked_promoted` is the queue index of a promoted job that could
     /// not start immediately — it holds the pass's aggressive guard.
     fn begin_pass(&mut self, _ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {}
 
     /// May the walk's `rank`-th job (queue index `i`) start right now, with
-    /// `free` nodes idle? May mutate per-pass state (spare-node budgets,
-    /// profile holds) — the walk must query jobs in walk order exactly once.
-    fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> Admission;
+    /// `free` nodes idle? A refused job waits, and counts as bypassed by
+    /// later starts. May mutate per-pass state (spare-node budgets, profile
+    /// holds) — the walk queries jobs in walk order exactly once.
+    fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> bool;
 
     /// The job at queue index `i` was just started by the walk.
     fn note_start(&mut self, _ctx: &EngineCtx<'_>, _i: usize) {}
+
+    /// The traced cause of a start with nothing waiting ahead of it.
+    fn in_order_cause(&self) -> StartCause {
+        StartCause::Fcfs
+    }
 
     /// Reserved start for `id`, when this ledger plans one.
     fn reservation_of(&self, _id: JobId) -> Option<Time> {
@@ -132,21 +135,23 @@ pub trait ReservationLedger: Send {
     fn clone_box(&self) -> Box<dyn ReservationLedger>;
 }
 
-/// No promises: a job is admitted iff it fits right now.
+/// No promises and no backfilling: jobs start strictly from the head of
+/// the walk (the paper's Figure 1). The first job that does not fit stops
+/// the pass; everything behind it waits even if it fits right now.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoReservations;
+pub struct NoReservations {
+    /// A job earlier in this pass's walk had to wait.
+    stopped: bool,
+}
 
 impl ReservationLedger for NoReservations {
-    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
-        backfill::no_backfill(ctx, order, self)
+    fn begin_pass(&mut self, _ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {
+        self.stopped = false;
     }
 
-    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> Admission {
-        if ctx.queue[i].nodes <= free {
-            Admission::Start
-        } else {
-            Admission::Wait
-        }
+    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> bool {
+        self.stopped |= ctx.queue[i].nodes > free;
+        !self.stopped
     }
 
     fn clone_box(&self) -> Box<dyn ReservationLedger> {
@@ -164,10 +169,6 @@ pub struct HeadOfQueue {
 }
 
 impl ReservationLedger for HeadOfQueue {
-    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
-        backfill::greedy(ctx, order, self)
-    }
-
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, blocked_promoted: Option<usize>) {
         self.guard = blocked_promoted.map(|g| {
             let head = &ctx.queue[g];
@@ -183,13 +184,9 @@ impl ReservationLedger for HeadOfQueue {
         });
     }
 
-    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> Admission {
+    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> bool {
         let job = &ctx.queue[i];
-        if job.nodes <= free && respects(job, ctx.now, self.guard.as_mut()) {
-            Admission::Start
-        } else {
-            Admission::Wait
-        }
+        job.nodes <= free && respects(job, ctx.now, self.guard.as_mut())
     }
 
     fn clone_box(&self) -> Box<dyn ReservationLedger> {
@@ -242,11 +239,6 @@ pub struct ConservativeLedger {
     freed_until: Time,
 }
 
-/// An owned copy of a [`ConservativeLedger`]'s complete reservation state,
-/// as captured by [`ConservativeLedger::snapshot`].
-#[derive(Debug, Clone)]
-pub struct ConservativeSnapshot(ConservativeLedger);
-
 impl ConservativeLedger {
     /// `dynamic = false` for §5.3 (keep-unless-better), `true` for §5.4
     /// (rebuild every event).
@@ -260,34 +252,6 @@ impl ConservativeLedger {
             planned_at: 0,
             running_ends: HashMap::new(),
             freed_until: 0,
-        }
-    }
-
-    /// Whether dynamic reservations are on.
-    pub fn is_dynamic(&self) -> bool {
-        self.dynamic
-    }
-
-    /// Captures the complete reservation state.
-    pub fn snapshot(&self) -> ConservativeSnapshot {
-        ConservativeSnapshot(self.clone())
-    }
-
-    /// Restores a previously captured state.
-    pub fn restore(&mut self, snapshot: ConservativeSnapshot) {
-        *self = snapshot.0;
-    }
-
-    /// The planned timeline must be encoded against the machine size before
-    /// fit queries; rebuilt on the (first-use or hand-driven) mismatch.
-    fn ensure_capacity(&mut self, total: u32) {
-        if self.planned.capacity() != total {
-            let mut p = Profile::new(total);
-            for s in self.slots.values() {
-                p.add(s.start, s.estimate, s.nodes);
-            }
-            self.planned = p;
-            self.settled = false;
         }
     }
 
@@ -332,38 +296,10 @@ impl ConservativeLedger {
         }
     }
 
-    /// Whether the slot table covers exactly the given queue subset — the
-    /// precondition for deriving a pass profile from `planned` instead of
-    /// re-seeding. Always true when the simulator drives the ledger; hand-
-    /// driven ledgers (unit tests) may skip `on_arrival` and fall back.
-    fn slots_cover(&self, queue: &[QueuedJob], except: Option<JobId>) -> bool {
-        let expected = queue.iter().filter(|q| Some(q.id) != except).count();
-        self.slots.len() == expected
-            && queue
-                .iter()
-                .filter(|q| Some(q.id) != except)
-                .all(|q| self.slots.contains_key(&q.id))
-            && except.is_none_or(|id| !self.slots.contains_key(&id))
-    }
-
-    /// Profile of running work (estimate-based) plus capacity lost to node
-    /// outages: failed nodes step the available capacity down until their
-    /// repair time, so reservations never assume them.
-    fn running_profile(&self, ctx: &EngineCtx<'_>) -> Profile {
-        let mut p = Profile::new(ctx.total_nodes);
-        for r in ctx.running {
-            p.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            p.block_until(ctx.now, o.until, 1);
-        }
-        p
-    }
-
     /// The pass profile, derived from the incremental timeline: `planned`
     /// with past-due reservations floated up to `now`, plus running work
-    /// and outages. Equals the re-seeded profile when `slots` covers the
-    /// queue (see [`ConservativeLedger::slots_cover`]).
+    /// and outages — the profile re-seeded from the whole queue, since
+    /// every queued job holds a slot from its `on_arrival`.
     fn effective_profile(&self, ctx: &EngineCtx<'_>) -> Profile {
         let mut p = self.planned.clone();
         for (t, id) in self.floaters(ctx.now) {
@@ -371,17 +307,7 @@ impl ConservativeLedger {
             p.remove(t, s.estimate, s.nodes);
             p.add(ctx.now, s.estimate, s.nodes);
         }
-        for r in ctx.running {
-            p.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            p.block_until(ctx.now, o.until, 1);
-        }
-        p
-    }
-
-    fn slot_start(&self, id: JobId) -> Option<Time> {
-        self.slots.get(&id).map(|s| s.start)
+        with_running(p, ctx)
     }
 
     /// §5.4: discard everything, rebuild reservations in priority order.
@@ -392,7 +318,7 @@ impl ConservativeLedger {
             .trace
             .map(|_| self.slots.iter().map(|(id, s)| (*id, s.start)).collect());
         self.clear_slots();
-        let mut profile = self.running_profile(ctx);
+        let mut profile = with_running(Profile::new(ctx.total_nodes), ctx);
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
             let start = profile
@@ -400,26 +326,20 @@ impl ConservativeLedger {
                 .unwrap_or(FAR_FUTURE);
             profile.add(start, job.estimate, job.nodes);
             if let (Some(t), Some(old)) = (ctx.trace, old.as_ref()) {
-                match old.get(&job.id).copied() {
-                    // The on_arrival placeholder (or a fresh job) gets its
-                    // first real slot now.
-                    Some(prev) if prev >= FAR_FUTURE => t.emit(TraceRecord::ReservationMade {
+                match old[&job.id] {
+                    // The on_arrival placeholder gets its first real slot.
+                    prev if prev >= FAR_FUTURE => t.emit(TraceRecord::ReservationMade {
                         at: ctx.now,
                         job: job.id,
                         start,
                     }),
-                    Some(prev) if prev != start => t.emit(TraceRecord::ReservationShifted {
+                    prev if prev != start => t.emit(TraceRecord::ReservationShifted {
                         at: ctx.now,
                         job: job.id,
                         from: prev,
                         to: start,
                     }),
-                    Some(_) => {}
-                    None => t.emit(TraceRecord::ReservationMade {
-                        at: ctx.now,
-                        job: job.id,
-                        start,
-                    }),
+                    _ => {}
                 }
             }
             self.set_slot(job.id, start, job.estimate, job.nodes);
@@ -444,8 +364,9 @@ impl ConservativeLedger {
     /// worse one. A settled ledger with no capacity freed past `now` (and
     /// no outages to plan around) skips the walk: it could not move anyone.
     fn improve(&mut self, ctx: &EngineCtx<'_>) {
-        let covered = self.slots_cover(ctx.queue, None);
-        if self.settled && covered && self.freed_until <= ctx.now && ctx.outages.is_empty() {
+        // Every queued job holds a slot from its `on_arrival`.
+        debug_assert_eq!(self.slots.len(), ctx.queue.len());
+        if self.settled && self.freed_until <= ctx.now && ctx.outages.is_empty() {
             // Debug builds prove the skip: a full walk on a replica must
             // leave every slot exactly where the clamp puts it.
             #[cfg(debug_assertions)]
@@ -468,24 +389,12 @@ impl ConservativeLedger {
             counters::record_plan_skipped();
             return;
         }
-        let mut profile = if covered {
-            self.effective_profile(ctx)
-        } else {
-            // Hand-driven fallback: some queued job never saw `on_arrival`.
-            // Re-seed from the queue, treating missing slots as reserved at
-            // the far future, exactly like the pre-refactor engine.
-            let mut p = self.running_profile(ctx);
-            for job in ctx.queue {
-                let start = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
-                p.add(start, job.estimate, job.nodes);
-            }
-            p
-        };
+        let mut profile = self.effective_profile(ctx);
         // Clamping a floater to `now` is not a move: it frees nothing.
         let mut moved = false;
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
-            let old = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
+            let old = self.slots[&job.id].start.max(ctx.now);
             profile.remove(old, job.estimate, job.nodes);
             let chosen = match profile.earliest_start(ctx.now, job.nodes, job.estimate) {
                 Some(fresh) => fresh.min(old),
@@ -511,50 +420,33 @@ impl ConservativeLedger {
                     });
                 }
             }
-            if self.slot_start(job.id) != Some(chosen) {
+            if self.slots[&job.id].start != chosen {
                 self.set_slot(job.id, chosen, job.estimate, job.nodes);
             }
         }
-        self.settled = covered && !moved;
+        self.settled = !moved;
         self.planned_at = ctx.now;
         self.freed_until = 0;
     }
 }
 
 impl ReservationLedger for ConservativeLedger {
-    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
-        backfill::reservation_due(ctx, order, self)
-    }
-
     fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
         if self.dynamic {
             // Reservations are rebuilt wholesale in the next pass.
             self.set_slot(job.id, FAR_FUTURE, job.estimate, job.nodes);
             return;
         }
-        self.ensure_capacity(ctx.total_nodes);
+        if self.planned.capacity() != ctx.total_nodes {
+            // The timeline learns the machine size at the run's first arrival.
+            debug_assert!(self.slots.is_empty(), "slots planned before capacity");
+            self.planned = Profile::new(ctx.total_nodes);
+        }
         // Earliest hole in the profile of running work plus every existing
-        // reservation (the arriving job is already in ctx.queue; skip it).
-        let profile = if self.slots_cover(ctx.queue, Some(job.id)) {
-            self.effective_profile(ctx)
-        } else {
-            // Hand-driven fallback: skip the arriving job and any sibling
-            // that has not been reserved yet (simultaneous arrivals are
-            // delivered one at a time; the unreserved sibling's own
-            // on_arrival follows).
-            let mut p = self.running_profile(ctx);
-            for q in ctx.queue {
-                let Some(start) = self.slot_start(q.id) else {
-                    continue;
-                };
-                if q.id == job.id {
-                    continue;
-                }
-                p.add(start.max(ctx.now), q.estimate, q.nodes);
-            }
-            p
-        };
-        let start = profile
+        // reservation (the arriving job is already in ctx.queue, but holds
+        // no slot yet).
+        let start = self
+            .effective_profile(ctx)
             .earliest_start(ctx.now, job.nodes, job.estimate)
             .unwrap_or(FAR_FUTURE);
         self.planned_at = self.planned_at.max(ctx.now);
@@ -592,7 +484,6 @@ impl ReservationLedger for ConservativeLedger {
             self.clear_slots();
             return;
         }
-        self.ensure_capacity(ctx.total_nodes);
         if self.dynamic {
             self.rebuild(ctx);
         } else {
@@ -600,15 +491,9 @@ impl ReservationLedger for ConservativeLedger {
         }
     }
 
-    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> Admission {
+    fn admit(&mut self, ctx: &EngineCtx<'_>, _rank: usize, i: usize, free: u32) -> bool {
         let job = &ctx.queue[i];
-        // Indexing panics on a missing slot, like the pre-refactor map: a
-        // pass over a non-empty queue always reserves every queued job.
-        if self.slots[&job.id].start <= ctx.now && job.nodes <= free {
-            Admission::Start
-        } else {
-            Admission::Wait
-        }
+        self.slots[&job.id].start <= ctx.now && job.nodes <= free
     }
 
     fn note_start(&mut self, ctx: &EngineCtx<'_>, i: usize) {
@@ -616,8 +501,15 @@ impl ReservationLedger for ConservativeLedger {
         self.running_ends.insert(job.id, ctx.now + job.estimate);
     }
 
+    /// A conservative start is its reservation coming due; with
+    /// higher-priority work still waiting it is also the backfill the paper
+    /// blames for unfairness.
+    fn in_order_cause(&self) -> StartCause {
+        StartCause::Reservation
+    }
+
     fn reservation_of(&self, id: JobId) -> Option<Time> {
-        self.slot_start(id)
+        self.slots.get(&id).map(|s| s.start)
     }
 
     fn clone_box(&self) -> Box<dyn ReservationLedger> {
@@ -646,49 +538,29 @@ impl DepthLedger {
             profile: Profile::new(0),
         }
     }
-
-    /// The configured depth.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
 }
 
 impl ReservationLedger for DepthLedger {
-    fn select(&mut self, ctx: &EngineCtx<'_>, order: &dyn QueueOrderStrategy) -> Vec<JobId> {
-        backfill::profile_greedy(ctx, order, self)
-    }
-
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {
-        let mut profile = Profile::new(ctx.total_nodes);
-        for r in ctx.running {
-            profile.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            profile.block_until(ctx.now, o.until, 1);
-        }
-        self.profile = profile;
+        self.profile = with_running(Profile::new(ctx.total_nodes), ctx);
     }
 
-    fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> Admission {
+    fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> bool {
         let job = &ctx.queue[i];
-        let Some(start) = self
+        let start = self
             .profile
             .earliest_start(ctx.now, job.nodes, job.estimate)
-        else {
-            // Wider than the machine: can never start and holds no slot.
-            return Admission::Infeasible;
-        };
+            .unwrap_or(FAR_FUTURE);
         if start == ctx.now && job.nodes <= free {
-            Admission::Start
-        } else {
-            if (rank as u32) < self.depth {
-                // Hold the slot: deeper jobs must schedule around it.
-                self.profile.add(start, job.estimate, job.nodes);
-            }
-            // Unreserved jobs that don't fit now simply wait; they claim
-            // nothing in the profile.
-            Admission::Wait
+            return true;
         }
+        if (rank as u32) < self.depth {
+            // Hold the slot: deeper jobs must schedule around it.
+            self.profile.add(start, job.estimate, job.nodes);
+        }
+        // Unreserved jobs that don't fit now simply wait; they claim
+        // nothing in the profile.
+        false
     }
 
     fn note_start(&mut self, ctx: &EngineCtx<'_>, i: usize) {
@@ -705,7 +577,7 @@ impl ReservationLedger for DepthLedger {
 mod tests {
     use super::*;
     use crate::config::{EngineKind, FairshareConfig, QueueOrder, SimConfig};
-    use crate::engine::Engine;
+    use crate::engine::{Engine, QueueOrderStrategy};
     use crate::fairshare::FairshareTracker;
     use crate::simulator::Sim;
     use crate::state::{NullObserver, RunningJob};
@@ -788,16 +660,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_reservation_state() {
+    fn clone_round_trips_reservation_state() {
         let fs = FairshareTracker::new(FairshareConfig::default());
         let mut ledger = ConservativeLedger::new(false);
         let queue = vec![queued(1, 8, 500, 0)];
         let c = ctx(0, 10, &queue, &fs);
         ledger.on_arrival(&queue[0], &c);
-        let snap = ledger.snapshot();
+        let snap = ledger.clone();
         ledger.on_start(JobId(1));
         assert_eq!(ledger.reservation_of(JobId(1)), None);
-        ledger.restore(snap);
+        ledger = snap;
         assert_eq!(ledger.reservation_of(JobId(1)), Some(0));
     }
 
@@ -860,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_the_settled_state_and_watermark() {
+    fn clone_round_trips_the_settled_state_and_watermark() {
         let fs = FairshareTracker::new(FairshareConfig::default());
         let (mut ledger, running, queue) = ledger_behind_an_overdue_job(&fs);
         let busy = EngineCtx {
@@ -870,13 +742,13 @@ mod tests {
         };
         ledger.begin_pass(&busy, None);
         ledger.on_complete(JobId(1));
-        let snap = ledger.snapshot();
+        let snap = ledger.clone();
         // Drain the live ledger: the completion is consumed by a full pass
         // and the queue empties.
         ledger.begin_pass(&ctx(150, 10, &queue, &fs), None);
         ledger.begin_pass(&ctx(150, 10, &[], &fs), None);
         assert!(!ledger.settled);
-        ledger.restore(snap);
+        ledger = snap;
         assert!(ledger.settled);
         assert_eq!(ledger.planned_at, 150);
         assert_eq!(ledger.freed_until, 151);

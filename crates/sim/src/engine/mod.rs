@@ -9,16 +9,16 @@
 //!   guard: none, the priority head (EASY), or the starvation-queue head
 //!   (CPlant §2.1);
 //! * a [`ReservationLedger`] (`ledger`) — what future promises constrain
-//!   backfilling, and the backfill walk (`backfill`) written for them:
-//!   no promises with strict no-backfill (Figure 1), a single
-//!   head-of-queue aggressive reservation with the greedy walk, the
-//!   conservative per-job profile (§5.3, with the §5.4 dynamic rebuild)
-//!   with due-reservation dispatch, or a depth-limited profile with the
-//!   profile-greedy walk.
+//!   backfilling, as one admission rule per walked job: none at all
+//!   (strict FCFS, Figure 1), a single head-of-queue aggressive
+//!   reservation, the conservative per-job profile (§5.3, with the §5.4
+//!   dynamic rebuild), or a depth-limited profile.
 //!
-//! The strategy split preserves byte-identical schedules with the
-//! pre-refactor monolithic engines (pinned by the root `engine_equivalence`
-//! golden suite).
+//! Every engine runs the same backfill walk (`backfill`): start the
+//! promoted job if it fits, then walk the order and start each job the
+//! ledger admits. The strategy split preserves byte-identical schedules
+//! and decision traces with the pre-refactor monolithic engines (pinned by
+//! the root `engine_equivalence` golden suite).
 
 use crate::config::{EngineKind, QueueOrder, StarvationConfig};
 use crate::fairshare::FairshareTracker;
@@ -32,10 +32,7 @@ mod backfill;
 pub mod ledger;
 pub mod order;
 
-pub use ledger::{
-    Admission, ConservativeLedger, ConservativeSnapshot, DepthLedger, HeadOfQueue, NoReservations,
-    ReservationLedger,
-};
+pub use ledger::{ConservativeLedger, DepthLedger, HeadOfQueue, NoReservations, ReservationLedger};
 pub use order::{
     HeadPromotion, LeastAttainedOrder, PriorityOrder, QueueOrderStrategy, StarvationPromotion,
     VirtualFairOrder, HFSP_AGING_RATE,
@@ -87,7 +84,7 @@ impl EngineCtx<'_> {
 }
 
 /// The scheduling engine of one run: a queue-order strategy plus the
-/// reservation ledger whose own backfill walk turns admissions into starts.
+/// reservation ledger whose admissions the backfill walk turns into starts.
 ///
 /// `Clone` is an exact replica, internal state included: warm-start prefix
 /// simulation clones the master engine per query so stateful ledgers
@@ -115,7 +112,7 @@ impl Engine {
         let ledger: Box<dyn ReservationLedger> = match kind {
             EngineKind::Conservative { dynamic } => Box::new(ConservativeLedger::new(dynamic)),
             EngineKind::ReservationDepth(depth) => Box::new(DepthLedger::new(depth)),
-            EngineKind::FcfsNoBackfill => Box::new(NoReservations),
+            EngineKind::FcfsNoBackfill => Box::new(NoReservations::default()),
             // The size-based family shares EASY's guard machinery: the
             // order names its own head (virtual completion / least
             // attained service) and the head-of-queue guard protects it.
@@ -152,7 +149,7 @@ impl Engine {
         // Stateful orders advance their virtual clocks before the walk;
         // stateless ones no-op, keeping pre-refactor schedules byte-exact.
         self.order.begin_pass(ctx);
-        self.ledger.select(ctx, self.order.as_ref())
+        backfill::greedy(ctx, self.order.as_ref(), self.ledger.as_mut())
     }
 
     /// Reserved start of a queued job, when the ledger plans one
@@ -257,6 +254,9 @@ mod tests {
         ];
         let mut engine = Engine::new(EngineKind::Fsp);
         let c = ctx(5, 10, &[], &queue, &fs, None);
+        for job in &queue {
+            engine.on_arrival(job, &c);
+        }
         // Both fit alone but not together: the virtual head starts and
         // job 1 no longer fits later in the same walk.
         assert_eq!(engine.select_starts(&c), vec![JobId(2)]);
@@ -273,6 +273,9 @@ mod tests {
         ];
         let mut engine = Engine::new(EngineKind::Fsp);
         let c = ctx(10, 10, &runners, &queue, &fs, None);
+        for job in &queue {
+            engine.on_arrival(job, &c);
+        }
         // Head (8 wide, virtual size 800 after negligible drain) cannot fit;
         // its guard shadows the runner's end. Job 2 (long, 4 > extra 2)
         // violates the guard; job 3 fits in the extra nodes.
@@ -531,9 +534,8 @@ mod tests {
         let runners = vec![running(90, 10, 0, 1000)];
         let queue = vec![queued(1, 1, 10, 100, 10), queued(2, 2, 10, 100, 20)];
         let mut engine = conservative(false);
-        let c = ctx(20, 10, &runners, &queue, &fs, None);
-        engine.on_arrival(&queue[0], &c);
-        engine.on_arrival(&queue[1], &c);
+        engine.on_arrival(&queue[0], &ctx(10, 10, &runners, &queue[..1], &fs, None));
+        engine.on_arrival(&queue[1], &ctx(20, 10, &runners, &queue, &fs, None));
         // job1 reserved at 1000, job2 at 1100.
         fs.charge(UserId(1), 1e9);
         let c2 = ctx(30, 10, &runners, &queue, &fs, None);

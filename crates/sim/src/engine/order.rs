@@ -231,10 +231,7 @@ impl VirtualFairOrder {
 
     /// The virtual-completion sort key of a queued job (lower = sooner).
     fn key(&self, job: &QueuedJob, ctx: &EngineCtx<'_>) -> f64 {
-        let remaining = self
-            .virt
-            .get(&job.id)
-            .map_or_else(|| Self::initial(job), |v| v.remaining);
+        let remaining = self.virt[&job.id].remaining;
         let credit =
             self.aging * ctx.now.saturating_sub(job.arrival) as f64 * ctx.total_nodes as f64;
         remaining / Self::weight(ctx, job.user) - credit
@@ -279,21 +276,13 @@ impl QueueOrderStrategy for VirtualFairOrder {
     }
 
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>) {
-        // Track every queued job. The `or_insert` covers enqueue paths that
-        // bypass `on_arrival` (fault requeues re-enter with a fresh virtual
-        // size); its `since` is the arrival, so the first drain covers
-        // exactly the time spent queued.
-        for job in ctx.queue {
-            self.virt.entry(job.id).or_insert(VirtJob {
-                remaining: Self::initial(job),
-                since: job.arrival,
-            });
-        }
+        // Every queued job, fault requeues included, entered through
+        // `on_arrival`, so the first drain covers exactly its time queued.
         let total_weight: f64 = ctx.queue.iter().map(|j| Self::weight(ctx, j.user)).sum();
         if total_weight > 0.0 {
             for job in ctx.queue {
                 let rate = ctx.total_nodes as f64 * Self::weight(ctx, job.user) / total_weight;
-                let v = self.virt.get_mut(&job.id).expect("tracked above");
+                let v = self.virt.get_mut(&job.id).expect("queued job arrived");
                 let dt = ctx.now.saturating_sub(v.since) as f64;
                 if dt > 0.0 {
                     v.remaining = (v.remaining - rate * dt).max(0.0);
@@ -454,6 +443,15 @@ mod tests {
         FairshareTracker::new(FairshareConfig::default())
     }
 
+    /// `order` after every job queued in `c` arrived, as the simulator
+    /// delivers them.
+    fn arrived(mut order: VirtualFairOrder, c: &EngineCtx<'_>) -> VirtualFairOrder {
+        for job in c.queue {
+            order.on_arrival(job, c);
+        }
+        order
+    }
+
     fn ids(queue: &[QueuedJob], order: &[usize]) -> Vec<u32> {
         order.iter().map(|&i| queue[i].id.0).collect()
     }
@@ -467,8 +465,8 @@ mod tests {
             queued(2, 2, 2, 100, 1),
             queued(3, 3, 4, 100, 2),
         ];
-        let mut fsp = VirtualFairOrder::fsp();
         let c = ctx(2, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
         assert_eq!(ids(&queue, &fsp.walk_order(&c)), vec![2, 3, 1]);
     }
@@ -477,8 +475,8 @@ mod tests {
     fn fsp_drains_virtual_sizes_between_passes() {
         let fs = fs();
         let queue = vec![queued(1, 1, 2, 100, 0), queued(2, 2, 2, 100, 0)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c0 = ctx(0, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c0);
         fsp.begin_pass(&c0);
         assert_eq!(fsp.virtual_remaining(JobId(1)), Some(200.0));
         // 10 virtual node-seconds/second split evenly: 50 each after 10 s.
@@ -496,8 +494,8 @@ mod tests {
         let mut fs = fs();
         fs.charge(UserId(1), 1.0); // heavy: weight 1/2 vs user 2's 1
         let queue = vec![queued(1, 1, 2, 100, 0), queued(2, 2, 2, 100, 0)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c0 = ctx(0, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c0);
         fsp.begin_pass(&c0);
         let c1 = ctx(9, 10, &[], &queue, &fs);
         fsp.begin_pass(&c1);
@@ -513,8 +511,8 @@ mod tests {
     fn fsp_virtual_size_never_goes_negative() {
         let fs = fs();
         let queue = vec![queued(1, 1, 1, 10, 0)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c0 = ctx(0, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c0);
         fsp.begin_pass(&c0);
         let c1 = ctx(1_000_000, 10, &[], &queue, &fs);
         fsp.begin_pass(&c1);
@@ -525,8 +523,8 @@ mod tests {
     fn started_jobs_leave_the_virtual_schedule() {
         let fs = fs();
         let queue = vec![queued(1, 1, 2, 100, 0)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c = ctx(0, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
         assert!(fsp.virtual_remaining(JobId(1)).is_some());
         fsp.on_start(JobId(1));
@@ -540,13 +538,13 @@ mod tests {
         // Pure FSP keeps job 1 behind forever; HFSP's aging credit flips it.
         let now = 200_000;
         let queue = vec![queued(1, 1, 8, 1_000_000, 0), queued(2, 2, 1, 10, now)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c = ctx(now, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
         // FSP drains job 1 (alone in the queue for [0, now]) by at most
         // total_nodes × now = 2e6 < 8e6: still enormous, so job 2 leads.
         assert_eq!(ids(&queue, &fsp.walk_order(&c)), vec![2, 1]);
-        let mut hfsp = VirtualFairOrder::hfsp();
+        let mut hfsp = arrived(VirtualFairOrder::hfsp(), &c);
         hfsp.begin_pass(&c);
         // Aging credit 0.25 × 10 × 200000 = 5e5 … not enough alone, but the
         // drain (2e6) plus credit (5e5) … job1 key = (8e6-2e6) - 5e5 > 0.
@@ -554,7 +552,7 @@ mod tests {
         let later = 3_000_000;
         let queue2 = vec![queued(1, 1, 8, 1_000_000, 0), queued(2, 2, 1, 10, later)];
         let c2 = ctx(later, 10, &[], &queue2, &fs);
-        let mut hfsp2 = VirtualFairOrder::hfsp();
+        let mut hfsp2 = arrived(VirtualFairOrder::hfsp(), &c2);
         hfsp2.begin_pass(&c2);
         assert_eq!(ids(&queue2, &hfsp2.walk_order(&c2)), vec![1, 2]);
         // Pure FSP still keeps the inflated job behind the fresh one at the
@@ -629,7 +627,7 @@ mod tests {
         let fs = fs();
         let queue = vec![queued(1, 1, 8, 100, 0), queued(2, 2, 2, 100, 1)];
         let c = ctx(1, 10, &[], &queue, &fs);
-        let mut fsp = VirtualFairOrder::fsp();
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
         let order = fsp.walk_order(&c);
         // Job 2 (virtual size 200 < 800) heads the walk and is promoted.
@@ -643,8 +641,8 @@ mod tests {
     fn clone_box_carries_virtual_state() {
         let fs = fs();
         let queue = vec![queued(1, 1, 2, 100, 0)];
-        let mut fsp = VirtualFairOrder::fsp();
         let c0 = ctx(0, 10, &[], &queue, &fs);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c0);
         fsp.begin_pass(&c0);
         let c1 = ctx(10, 10, &[], &queue, &fs);
         fsp.begin_pass(&c1);
@@ -663,9 +661,9 @@ mod tests {
             queued(1, 1, 8, 1000, 0), // arrival head, big virtual size
             queued(2, 2, 1, 10, 5),   // virtual head
         ];
-        let mut fsp = VirtualFairOrder::fsp();
         let mut c = ctx(5, 10, &[], &queue, &fs);
         c.trace = Some(&buf);
+        let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
         fsp.begin_pass(&c); // same pair: no duplicate record
         let sink = buf.drain();

@@ -18,10 +18,10 @@
 //!   drives Sandia's queue priority;
 //! * [`engine`] — the scheduling [`engine::Engine`], built from the
 //!   policy's [`EngineKind`] out of a queue-order strategy and a
-//!   reservation ledger that runs its own backfill walk (the original
-//!   CPlant no-guarantee backfiller with its starvation queue, textbook
-//!   EASY, and conservative backfilling with or without dynamic
-//!   reservations are all arms of one constructor);
+//!   reservation ledger whose admission rule one shared backfill walk
+//!   applies (the original CPlant no-guarantee backfiller with its
+//!   starvation queue, textbook EASY, and conservative backfilling with or
+//!   without dynamic reservations are all arms of one constructor);
 //! * `lifecycle` (internal) — submission lifecycle: pending arrivals,
 //!   runtime-limit chunk chains (§5.1), and crash recovery;
 //! * `accounting` (internal) — the utilization, loss-of-capacity, and

@@ -2,20 +2,25 @@
 //!
 //! The scheduling core was refactored from monolithic engine
 //! implementations into one `Engine` built from a `QueueOrderStrategy` and
-//! a `ReservationLedger` that runs its own backfill walk. The refactor must
-//! preserve byte-identical `Schedule`s: these goldens were recorded at small
-//! scale against the pre-refactor engines (commit `bc1d7de`) and every
-//! recomposed policy is replayed against them. A digest mismatch means the recomposition changed
-//! an actual scheduling decision somewhere — not just formatting.
+//! a `ReservationLedger`, whose admission rule the one shared backfill walk
+//! applies. The refactor must preserve byte-identical `Schedule`s: these
+//! goldens were recorded at small scale against the pre-refactor engines
+//! (commit `bc1d7de`) and every recomposed policy is replayed against them.
+//! A digest mismatch means the recomposition changed an actual scheduling
+//! decision somewhere — not just formatting. A second table pins each
+//! scenario's decision trace, which also carries the start causes and
+//! reservation moves a schedule cannot show.
 //!
 //! To re-record after an *intentional* semantic change (which should be rare
 //! and loudly justified):
 //!
 //! ```text
 //! cargo test --test engine_equivalence -- --ignored print_goldens --nocapture
+//! cargo test --test engine_equivalence -- --ignored print_trace_goldens --nocapture
 //! ```
 
 use fairsched_core::policy::PolicySpec;
+use fairsched_obs::TraceRecord;
 use fairsched_sim::{
     simulate, EngineKind, FaultConfig, KillPolicy, NullObserver, QueueOrder, ResiliencePolicy,
     Schedule, SimConfig, SimOptions,
@@ -35,11 +40,15 @@ impl Digest {
         Digest(0xcbf2_9ce4_8422_2325)
     }
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
@@ -246,12 +255,84 @@ fn run(trace: &[Job], cfg: &SimConfig) -> Schedule {
     simulate(trace, cfg, &mut NullObserver, SimOptions::new()).expect("scenario simulates cleanly")
 }
 
+/// FNV-1a over a traced run's decision records, one JSONL line each
+/// (newline-terminated). Unlike the schedule digest this sees every start
+/// cause (`fcfs`, `reservation`, `backfilled` with its bypass list,
+/// `starvation_guard`) and every reservation made or shifted.
+fn digest_trace(trace: &[Job], cfg: &SimConfig) -> u64 {
+    let mut records: Vec<TraceRecord> = Vec::new();
+    simulate(
+        trace,
+        cfg,
+        &mut NullObserver,
+        SimOptions::new().trace(&mut records),
+    )
+    .expect("scenario simulates cleanly");
+    let mut d = Digest::new();
+    for r in &records {
+        d.bytes(r.to_jsonl().as_bytes());
+        d.bytes(b"\n");
+    }
+    d.0
+}
+
+/// Decision-trace goldens, one per scenario in the same order as
+/// `GOLDENS`, recorded before the four backfill walks were merged into
+/// one. Re-record with `print_trace_goldens`.
+const TRACE_GOLDENS: &[(&str, u64)] = &[
+    ("paper/cplant24.nomax.all", 0xf0f679dc55fafbd0),
+    ("paper/cplant72.nomax.all", 0x3bdeb057682dc64f),
+    ("paper/cplant24.nomax.fair", 0xb63333b06a13f765),
+    ("paper/cplant24.72max.all", 0xdf6ee03feaed63c3),
+    ("paper/cplant72.72max.fair", 0x77f7479261490c8d),
+    ("paper/cons.nomax", 0xfd2bd91f77133e13),
+    ("paper/cons.72max", 0x17ee737e949bae04),
+    ("paper/consdyn.nomax", 0x240199bd024d2f3d),
+    ("paper/consdyn.72max", 0x5dfe63463376642a),
+    ("minor/cplant24.nomax.all", 0xaf4fd6bc239df01e),
+    ("minor/cplant72.nomax.all", 0x06a4f6cc36c660d6),
+    ("minor/cplant24.nomax.fair", 0x0e654131976e81d9),
+    ("minor/cplant24.72max.all", 0xd3b02bade408ca7e),
+    ("minor/cplant72.72max.fair", 0x55e550fc3b3e71c7),
+    ("extra/easy.nomax", 0x2907819a1049177c),
+    ("extra/fcfs.nobackfill", 0xe32b6aa2811c289f),
+    ("extra/depth0.atwcl", 0xfdb0d3d93af39b94),
+    ("extra/depth2.atwcl", 0x707e73fe13faf48d),
+    ("knobs/cplant24.fcfs.nokill", 0xa49dc3b95dbc78b1),
+    ("knobs/cons.nomax.closed2", 0xbf8f0cd4139f758a),
+    ("faults/cplant24.nomax.all.requeue", 0x6cb40d5935b7d2e2),
+    ("faults/cplant24.nomax.all.resume", 0x0ec1db7df4156a24),
+    ("faults/cons.nomax.requeue", 0x2294829155506aa0),
+    ("faults/consdyn.nomax.resume", 0x202a3e5f8e8e1f97),
+    ("faults/cplant24.72max.all.resume", 0x756a79b94f116b6f),
+    ("sizebased/fsp.nomax", 0x1d90bcd4e142fba4),
+    ("sizebased/las.nomax", 0x26a020eea3957ec1),
+    ("sizebased/hfsp.nomax", 0x93b4fe3593de052a),
+    ("sizebased/fsp.72max", 0xaa0a330f7b21e938),
+    ("sizebased/las.72max", 0xc1b280daa395302a),
+    ("sizebased/hfsp.72max", 0xd7b99e765b6930b3),
+    ("faults/fsp.nomax.requeue", 0xfb6cb99898489bf4),
+    ("faults/las.nomax.resume", 0xed71e2c5ed66b38f),
+    ("faults/hfsp.72max.resume", 0xa45f5ab2404cf939),
+];
+
 /// Re-record helper: prints the `GOLDENS` table for the current engines.
 #[test]
 #[ignore = "re-records the golden table; run with --nocapture and paste"]
 fn print_goldens() {
     for (label, trace, cfg) in scenarios() {
         let digest = digest_schedule(&run(&trace, &cfg));
+        println!("    (\"{label}\", 0x{digest:016x}),");
+    }
+}
+
+/// Re-record helper: prints the `TRACE_GOLDENS` table for the current
+/// engines.
+#[test]
+#[ignore = "re-records the trace golden table; run with --nocapture and paste"]
+fn print_trace_goldens() {
+    for (label, trace, cfg) in scenarios() {
+        let digest = digest_trace(&trace, &cfg);
         println!("    (\"{label}\", 0x{digest:016x}),");
     }
 }
@@ -434,6 +515,25 @@ fn recomposed_strategies_match_pre_refactor_goldens() {
         assert_eq!(
             digest, *golden,
             "schedule for {label} diverged from the pre-refactor golden \
+             (0x{digest:016x} != 0x{golden:016x})"
+        );
+    }
+}
+
+#[test]
+fn decision_traces_match_goldens() {
+    let scenarios = scenarios();
+    assert_eq!(
+        scenarios.len(),
+        TRACE_GOLDENS.len(),
+        "trace golden table out of sync with the scenario list"
+    );
+    for ((label, trace, cfg), (golden_label, golden)) in scenarios.into_iter().zip(TRACE_GOLDENS) {
+        assert_eq!(&label, golden_label, "scenario order changed");
+        let digest = digest_trace(&trace, &cfg);
+        assert_eq!(
+            digest, *golden,
+            "decision trace for {label} diverged from its golden \
              (0x{digest:016x} != 0x{golden:016x})"
         );
     }
