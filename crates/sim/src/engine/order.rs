@@ -19,6 +19,11 @@
 //! every accrual below iterates the deterministic `ctx.queue`/`ctx.running`
 //! slices, never the maps.
 //!
+//! Every keyed walk order sorts through `state::order_by_key`, which
+//! computes each queued job's key once per pass: a key costs hash lookups
+//! (the virtual schedule, the fairshare usage, the attained service), so it
+//! is never recomputed inside a comparator.
+//!
 //! [`on_arrival`]: QueueOrderStrategy::on_arrival
 //! [`on_start`]: QueueOrderStrategy::on_start
 //! [`on_complete`]: QueueOrderStrategy::on_complete
@@ -27,7 +32,7 @@
 
 use super::EngineCtx;
 use crate::starvation::starving_jobs;
-use crate::state::QueuedJob;
+use crate::state::{order_by_key, QueuedJob};
 use fairsched_obs::{StartCause, TraceRecord};
 use fairsched_workload::job::{JobId, UserId};
 use fairsched_workload::time::Time;
@@ -135,21 +140,25 @@ pub const HFSP_AGING_RATE: f64 = 0.25;
 
 /// Emits a [`TraceRecord::VirtualInversion`] when the strategy's head
 /// differs from the arrival-order head, once per distinct (head, displaced)
-/// pair. `last` is updated whether or not a sink is attached, so traced and
-/// untraced runs carry byte-identical strategy state (the zero-interference
-/// proptests cover the composed engines).
+/// pair. Each job's key is computed once. `last` is updated whether or not
+/// a sink is attached, so traced and untraced runs carry byte-identical
+/// strategy state (the zero-interference proptests cover the composed
+/// engines).
 fn note_head_inversion(
     last: &mut Option<(JobId, JobId)>,
     ctx: &EngineCtx<'_>,
     key: &dyn Fn(&QueuedJob) -> f64,
 ) {
-    let head = ctx.queue.iter().min_by(|a, b| {
-        key(a)
-            .total_cmp(&key(b))
-            .then_with(|| (a.arrival, a.id).cmp(&(b.arrival, b.id)))
-    });
+    let head = ctx
+        .queue
+        .iter()
+        .map(|j| (key(j), j))
+        .min_by(|(ka, a), (kb, b)| {
+            ka.total_cmp(kb)
+                .then_with(|| (a.arrival, a.id).cmp(&(b.arrival, b.id)))
+        });
     let first = ctx.queue.iter().min_by_key(|j| (j.arrival, j.id));
-    let (Some(head), Some(first)) = (head, first) else {
+    let (Some((head_key, head)), Some(first)) = (head, first) else {
         *last = None;
         return;
     };
@@ -164,7 +173,7 @@ fn note_head_inversion(
                 at: ctx.now,
                 job: head.id,
                 displaced: first.id,
-                job_key: key(head),
+                job_key: head_key,
                 displaced_key: key(first),
             });
         }
@@ -245,14 +254,7 @@ impl VirtualFairOrder {
 
 impl QueueOrderStrategy for VirtualFairOrder {
     fn walk_order(&self, ctx: &EngineCtx<'_>) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..ctx.queue.len()).collect();
-        idx.sort_by(|&a, &b| {
-            let (ja, jb) = (&ctx.queue[a], &ctx.queue[b]);
-            self.key(ja, ctx)
-                .total_cmp(&self.key(jb, ctx))
-                .then_with(|| (ja.arrival, ja.id).cmp(&(jb.arrival, jb.id)))
-        });
-        idx
+        order_by_key(ctx.queue, |j| self.key(j, ctx))
     }
 
     fn promoted(&self, _ctx: &EngineCtx<'_>, order: &[usize]) -> Option<(usize, StartCause)> {
@@ -340,14 +342,7 @@ impl LeastAttainedOrder {
 
 impl QueueOrderStrategy for LeastAttainedOrder {
     fn walk_order(&self, ctx: &EngineCtx<'_>) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..ctx.queue.len()).collect();
-        idx.sort_by(|&a, &b| {
-            let (ja, jb) = (&ctx.queue[a], &ctx.queue[b]);
-            self.key(ja)
-                .total_cmp(&self.key(jb))
-                .then_with(|| (ja.arrival, ja.id).cmp(&(jb.arrival, jb.id)))
-        });
-        idx
+        order_by_key(ctx.queue, |j| self.key(j))
     }
 
     fn promoted(&self, _ctx: &EngineCtx<'_>, order: &[usize]) -> Option<(usize, StartCause)> {
@@ -534,31 +529,28 @@ mod tests {
     #[test]
     fn hfsp_aging_overtakes_inflated_sizes() {
         let fs = fs();
-        // Job 1: huge over-estimated size, ancient. Job 2: small, fresh.
-        // Pure FSP keeps job 1 behind forever; HFSP's aging credit flips it.
-        let now = 200_000;
+        // Job 1: an over-estimated 8e6 node-second footprint, queued since
+        // 0. Job 2: a 10 node-second job arriving now. Two equal-weight
+        // jobs on 10 nodes drain 5 node-seconds/second each, so by `now`
+        // job 1 has drained 6e6 and still holds an inflated 2e6.
+        let now = 1_200_000;
         let queue = vec![queued(1, 1, 8, 1_000_000, 0), queued(2, 2, 1, 10, now)];
         let c = ctx(now, 10, &[], &queue, &fs);
         let mut fsp = arrived(VirtualFairOrder::fsp(), &c);
         fsp.begin_pass(&c);
-        // FSP drains job 1 (alone in the queue for [0, now]) by at most
-        // total_nodes × now = 2e6 < 8e6: still enormous, so job 2 leads.
-        assert_eq!(ids(&queue, &fsp.walk_order(&c)), vec![2, 1]);
         let mut hfsp = arrived(VirtualFairOrder::hfsp(), &c);
         hfsp.begin_pass(&c);
-        // Aging credit 0.25 × 10 × 200000 = 5e5 … not enough alone, but the
-        // drain (2e6) plus credit (5e5) … job1 key = (8e6-2e6) - 5e5 > 0.
-        // Give it more age to make the flip unambiguous.
-        let later = 3_000_000;
-        let queue2 = vec![queued(1, 1, 8, 1_000_000, 0), queued(2, 2, 1, 10, later)];
-        let c2 = ctx(later, 10, &[], &queue2, &fs);
-        let mut hfsp2 = arrived(VirtualFairOrder::hfsp(), &c2);
-        hfsp2.begin_pass(&c2);
-        assert_eq!(ids(&queue2, &hfsp2.walk_order(&c2)), vec![1, 2]);
-        // Pure FSP still keeps the inflated job behind the fresh one at the
-        // same instant (drain is capped by its 0 floor … actually the drain
-        // zeroed it here; use the aging-free key directly to check intent).
-        assert!(hfsp2.key(&queue2[0], &c2) < hfsp2.key(&queue2[1], &c2));
+        // Aging changes the key, not the drain.
+        for order in [&fsp, &hfsp] {
+            assert_eq!(order.virtual_remaining(JobId(1)), Some(2e6));
+            assert_eq!(order.virtual_remaining(JobId(2)), Some(10.0));
+        }
+        // Pure FSP keeps the inflated job behind the fresh one (2e6 > 10).
+        assert_eq!(ids(&queue, &fsp.walk_order(&c)), vec![2, 1]);
+        // HFSP's credit 0.25 × 10 × 1.2e6 = 3e6 outweighs the 2e6 left, so
+        // job 1's key drops to -1e6 and it overtakes.
+        assert_eq!(hfsp.key(&queue[0], &c), -1e6);
+        assert_eq!(ids(&queue, &hfsp.walk_order(&c)), vec![1, 2]);
     }
 
     #[test]

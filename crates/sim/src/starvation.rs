@@ -27,11 +27,16 @@ pub fn heavy_users(
     fairshare: &FairshareTracker,
     rule: HeavyUserRule,
 ) -> HashSet<UserId> {
-    let active: HashSet<UserId> = queue
+    // Ascending `UserId` order: the mean is a float sum, and summing in
+    // `HashSet` order would make a user at the cutoff heavy in one process
+    // and not in another.
+    let mut active: Vec<UserId> = queue
         .iter()
         .map(|q| q.user)
         .chain(running.iter().map(|r| r.user))
         .collect();
+    active.sort_unstable();
+    active.dedup();
     let mean = fairshare.mean_usage(active.iter());
     if mean <= 0.0 {
         return HashSet::new();
@@ -143,6 +148,26 @@ mod tests {
         let fs = tracker();
         let heavy = heavy_users(&q, &[], &fs, HeavyUserRule::default());
         assert!(heavy.is_empty());
+    }
+
+    #[test]
+    fn heavy_users_do_not_depend_on_hash_order() {
+        // Summed as 1e16 + 1 + 1 the two 1s round away, the mean is 1e16/3,
+        // and user 1 sits just above a (3 - 4ε)× cutoff. Summed as
+        // 1 + 1 + 1e16 they survive, the mean rises, and user 1 falls just
+        // below it. The sum runs in ascending `UserId` order, so user 1 is
+        // heavy on every call, whatever each fresh `RandomState` hashes to.
+        let q = vec![queued(1, 1, 0), queued(2, 2, 0), queued(3, 3, 0)];
+        let mut fs = tracker();
+        fs.charge(UserId(1), 1e16);
+        fs.charge(UserId(2), 1.0);
+        fs.charge(UserId(3), 1.0);
+        let rule = HeavyUserRule {
+            mean_multiple: 3.0 - 4.0 * f64::EPSILON,
+        };
+        for _ in 0..64 {
+            assert_eq!(heavy_users(&q, &[], &fs, rule), HashSet::from([UserId(1)]));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Shared simulation state types: queued/running job views, priority
-//! ordering, and the observer interface metrics hook into.
+//! ordering (the one keyed sort every queue order uses), and the observer
+//! interface metrics hook into.
 
 use crate::config::QueueOrder;
 use crate::fairshare::FairshareTracker;
@@ -59,28 +60,43 @@ impl RunningJob {
 ///
 /// * [`QueueOrder::Fcfs`] — by (arrival, id).
 /// * [`QueueOrder::Fairshare`] — ascending decayed usage of the submitting
-///   user, ties by (arrival, id). Deterministic for equal usage.
+///   user, ties by (arrival, id). Deterministic for equal usage. Each job's
+///   usage is looked up once per call, through `order_by_key`.
 pub fn priority_order(
     queue: &[QueuedJob],
     order: QueueOrder,
     fairshare: &FairshareTracker,
 ) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..queue.len()).collect();
     match order {
         QueueOrder::Fcfs => {
+            let mut idx: Vec<usize> = (0..queue.len()).collect();
             idx.sort_by_key(|&i| (queue[i].arrival, queue[i].id));
+            idx
         }
-        QueueOrder::Fairshare => {
-            idx.sort_by(|&a, &b| {
-                let ua = fairshare.usage(queue[a].user);
-                let ub = fairshare.usage(queue[b].user);
-                ua.total_cmp(&ub).then_with(|| {
-                    (queue[a].arrival, queue[a].id).cmp(&(queue[b].arrival, queue[b].id))
-                })
-            });
-        }
+        QueueOrder::Fairshare => order_by_key(queue, |j| fairshare.usage(j.user)),
     }
-    idx
+}
+
+/// Queue indices in ascending `key` order (by [`f64::total_cmp`]), ties by
+/// (arrival, id). The one sort behind every keyed queue order: the
+/// fairshare priority and the size-based strategies.
+///
+/// `key` runs exactly once per job, so a key that costs hash lookups is
+/// paid `n` times per pass instead of on both sides of every comparison.
+/// Job ids are unique in the queue, so `(key, arrival, id)` is a strict
+/// total order and the unstable sort returns the order a stable comparator
+/// sort would.
+pub(crate) fn order_by_key(queue: &[QueuedJob], key: impl Fn(&QueuedJob) -> f64) -> Vec<usize> {
+    let mut keyed: Vec<(f64, Time, JobId, usize)> = queue
+        .iter()
+        .enumerate()
+        .map(|(i, j)| (key(j), j.arrival, j.id, i))
+        .collect();
+    keyed.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    keyed.into_iter().map(|(.., i)| i).collect()
 }
 
 /// Everything an observer sees at a job arrival: the instant snapshot the
@@ -140,6 +156,7 @@ impl Observer for NullObserver {}
 mod tests {
     use super::*;
     use crate::config::FairshareConfig;
+    use proptest::prelude::*;
 
     fn queued(id: u32, user: u32, arrival: Time) -> QueuedJob {
         QueuedJob {
@@ -182,6 +199,58 @@ mod tests {
         let order = priority_order(&q, QueueOrder::Fairshare, &fs);
         let ids: Vec<u32> = order.iter().map(|&i| q[i].id.0).collect();
         assert_eq!(ids, vec![3, 1, 2]);
+    }
+
+    /// The per-comparison comparator sort `order_by_key` replaced: the key
+    /// is recomputed on both sides of every comparison.
+    fn comparator_order(queue: &[QueuedJob], key: impl Fn(&QueuedJob) -> f64) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..queue.len()).collect();
+        idx.sort_by(|&a, &b| {
+            let (ja, jb) = (&queue[a], &queue[b]);
+            key(ja)
+                .total_cmp(&key(jb))
+                .then_with(|| (ja.arrival, ja.id).cmp(&(jb.arrival, jb.id)))
+        });
+        idx
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn keyed_sort_matches_the_comparator_sort(
+            jobs in prop::collection::vec(
+                (
+                    prop::sample::select(vec![-0.0f64, 0.0, 1.0, 2.5, -3.0, 1e16]),
+                    0u64..4,
+                ),
+                0..40,
+            ),
+        ) {
+            // Few keys and few arrivals, so ties on both are common; the
+            // key table includes -0.0 and 0.0, which `total_cmp` separates.
+            // Job i belongs to user i, whose key is `jobs[i].0`; ids run
+            // against queue position so the id tie-break is exercised.
+            let queue: Vec<QueuedJob> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, arrival))| queued(jobs.len() as u32 - i as u32, i as u32, arrival))
+                .collect();
+            let key = |j: &QueuedJob| jobs[j.user.0 as usize].0;
+            prop_assert_eq!(order_by_key(&queue, key), comparator_order(&queue, key));
+        }
+    }
+
+    #[test]
+    fn keyed_sort_computes_each_key_once() {
+        let q = vec![queued(1, 1, 0), queued(2, 2, 5), queued(3, 1, 7)];
+        let calls = std::cell::Cell::new(0);
+        let order = order_by_key(&q, |j| {
+            calls.set(calls.get() + 1);
+            j.user.0 as f64
+        });
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(calls.get(), q.len());
     }
 
     #[test]
