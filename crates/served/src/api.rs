@@ -481,6 +481,16 @@ pub enum ServeError {
     },
     /// The session was sealed; no further submissions or grants.
     Sealed,
+    /// The job's wait began before the oldest decision-trace record the
+    /// session still keeps, so its wait can no longer be explained live.
+    ExplainWindowPassed {
+        /// The job asked about.
+        job: JobId,
+        /// When its wait began.
+        submit: Time,
+        /// The newest record time already dropped from the window.
+        evicted: Time,
+    },
     /// The named session does not exist in the registry.
     UnknownSession {
         /// The name that failed to resolve.
@@ -517,6 +527,7 @@ impl ServeError {
             ServeError::UnknownPolicy(_) => "unknown_policy",
             ServeError::DuplicateId { .. } => "duplicate_id",
             ServeError::Sealed => "sealed",
+            ServeError::ExplainWindowPassed { .. } => "explain_window_passed",
             ServeError::UnknownSession { .. } => "unknown_session",
             ServeError::DuplicateSession { .. } => "duplicate_session",
             ServeError::InvalidSessionName { .. } => "invalid_session_name",
@@ -536,6 +547,7 @@ impl ServeError {
             | ServeError::BadRequest { .. } => 400,
             ServeError::UnknownSession { .. } => 404,
             ServeError::Sealed | ServeError::DuplicateSession { .. } => 409,
+            ServeError::ExplainWindowPassed { .. } => 410,
             ServeError::Sim(_) => 422,
             ServeError::Io(_) => 502,
         }
@@ -562,6 +574,15 @@ impl ServeError {
             }
             ServeError::DuplicateId { job } => {
                 pairs.push(("job", Json::UInt(job.0.into())));
+            }
+            ServeError::ExplainWindowPassed {
+                job,
+                submit,
+                evicted,
+            } => {
+                pairs.push(("job", Json::UInt(job.0.into())));
+                pairs.push(("submit", Json::UInt(*submit)));
+                pairs.push(("evicted", Json::UInt(*evicted)));
             }
             ServeError::UnknownSession { name }
             | ServeError::DuplicateSession { name }
@@ -603,6 +624,11 @@ impl ServeError {
                 job: JobId(v.get("job").and_then(Json::as_u64).unwrap_or(0) as u32),
             },
             Some("sealed") => ServeError::Sealed,
+            Some("explain_window_passed") => ServeError::ExplainWindowPassed {
+                job: JobId(v.get("job").and_then(Json::as_u64).unwrap_or(0) as u32),
+                submit: v.get("submit").and_then(Json::as_u64).unwrap_or(0),
+                evicted: v.get("evicted").and_then(Json::as_u64).unwrap_or(0),
+            },
             Some("unknown_session") => ServeError::UnknownSession {
                 name: session_field(v),
             },
@@ -636,6 +662,15 @@ impl fmt::Display for ServeError {
                 write!(f, "{job} was already accepted by this session")
             }
             ServeError::Sealed => write!(f, "the session is sealed"),
+            ServeError::ExplainWindowPassed {
+                job,
+                submit,
+                evicted,
+            } => write!(
+                f,
+                "{job} began waiting at t={submit}, but the session's trace window \
+                 has dropped records through t={evicted}; explain it from a batch run"
+            ),
             ServeError::UnknownSession { name } => {
                 write!(f, "no session named `{name}`")
             }
@@ -715,6 +750,11 @@ mod tests {
             }),
             ServeError::DuplicateId { job: JobId(4) },
             ServeError::Sealed,
+            ServeError::ExplainWindowPassed {
+                job: JobId(3),
+                submit: 20,
+                evicted: 70,
+            },
             ServeError::UnknownSession {
                 name: "ghost".into(),
             },

@@ -18,8 +18,9 @@ use crate::api::{
     AdvanceResponse, SealResponse, ServeError, SessionSpec, StatusResponse, SubmitRequest,
     SubmitResponse,
 };
+use crate::http::write_request;
 use fairsched_core::json::{parse, Json};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -200,11 +201,7 @@ impl Client {
         // Streams have no bounded duration; disable the read timeout so
         // a quiet session does not sever the subscription.
         stream.set_read_timeout(None)?;
-        let path = self.scoped("/v1/trace");
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: fairschedd\r\nConnection: close\r\n\r\n"
-        )?;
+        write_request(&mut stream, "GET", &self.scoped("/v1/trace"), "", true)?;
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         // Skip the response headers.
@@ -322,21 +319,16 @@ impl Client {
         }
     }
 
-    /// Writes one request and reads its `Content-Length`-framed
-    /// response. Returns the status, body, and whether the daemon asked
-    /// to close the connection.
+    /// Writes one request (a single write, see [`write_request`]) and
+    /// reads its `Content-Length`-framed response. Returns the status,
+    /// body, and whether the daemon asked to close the connection.
     fn exchange(
         conn: &mut ClientConn,
         method: &str,
         path: &str,
         body: &str,
     ) -> std::io::Result<(u16, String, bool)> {
-        write!(
-            conn.stream,
-            "{method} {path} HTTP/1.1\r\nHost: fairschedd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        conn.stream.flush()?;
+        write_request(&mut conn.stream, method, path, body, false)?;
         let mut line = String::new();
         if conn.reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(

@@ -777,12 +777,9 @@ fn stream_trace(mut stream: TcpStream, session: &Session) {
     }
     let severed = loop {
         match sub.recv() {
-            Ok(Some(line)) => {
-                if stream
-                    .write_all(line.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"))
-                    .is_err()
-                {
+            Ok(Some(mut line)) => {
+                line.push('\n');
+                if stream.write_all(line.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -790,14 +787,13 @@ fn stream_trace(mut stream: TcpStream, session: &Session) {
             Err(_) => break true,
         }
     };
-    let close = Json::obj([
+    let mut close = Json::obj([
         ("trace_end", Json::Bool(true)),
         ("severed", Json::Bool(severed)),
         ("dropped", Json::UInt(sub.dropped())),
     ])
     .render();
-    let _ = stream
-        .write_all(close.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"));
+    close.push('\n');
+    let _ = stream.write_all(close.as_bytes());
     let _ = stream.flush();
 }

@@ -115,8 +115,12 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
 /// connection stays open for the next request unless `close` is set —
 /// keep-alive is what spares a thousand submitters a handshake per
 /// request.
+///
+/// The whole message goes out in one `write_all`: several small writes on
+/// a socket meet Nagle's algorithm and the peer's delayed ACK, and each
+/// exchange stalls for tens of milliseconds.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -124,22 +128,42 @@ pub fn write_response(
 ) -> std::io::Result<()> {
     let reason = reason_phrase(status);
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        stream,
+    let message = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
 /// Starts a streaming response: headers only, no `Content-Length` — the
 /// caller writes lines until it drops the stream (HTTP/1.0-style
 /// close-delimited body, which every line-oriented consumer accepts).
-pub fn write_stream_header(stream: &mut TcpStream, content_type: &str) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n"
-    )?;
+/// One `write_all`, like [`write_response`].
+pub fn write_stream_header(stream: &mut impl Write, content_type: &str) -> std::io::Result<()> {
+    let header =
+        format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
+    stream.write_all(header.as_bytes())?;
+    stream.flush()
+}
+
+/// Writes one client request with a `Content-Length`-framed body (empty
+/// for a bodiless request), asking the server to close the connection
+/// afterwards when `close` is set. One `write_all`, like
+/// [`write_response`].
+pub fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &str,
+    close: bool,
+) -> std::io::Result<()> {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: fairschedd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    );
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -150,6 +174,7 @@ fn reason_phrase(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        410 => "Gone",
         422 => "Unprocessable Entity",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
@@ -194,6 +219,53 @@ mod tests {
         let response = client.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(response.ends_with("{\"ok\":true}"));
+    }
+
+    /// A `Write` double that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_exactly_one_write() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, "application/json", "{\"ok\":true}", false).unwrap();
+        assert_eq!(w.writes, 1);
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.contains("Content-Length: 11\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
+
+        let mut w = CountingWriter::default();
+        write_stream_header(&mut w, "application/jsonl").unwrap();
+        assert_eq!(w.writes, 1);
+        assert!(String::from_utf8(w.bytes)
+            .unwrap()
+            .ends_with("Connection: close\r\n\r\n"));
+
+        for (body, close) in [("{\"id\":1}", false), ("", true)] {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, "POST", "/v1/jobs", body, close).unwrap();
+            assert_eq!(w.writes, 1);
+            let text = String::from_utf8(w.bytes).unwrap();
+            assert!(text.starts_with("POST /v1/jobs HTTP/1.1\r\n"), "{text}");
+            assert!(text.ends_with(&format!("\r\n\r\n{body}")), "{text}");
+            assert_eq!(text.contains("Connection: close\r\n"), close, "{text}");
+        }
     }
 
     #[test]

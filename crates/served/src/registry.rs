@@ -389,6 +389,11 @@ mod tests {
         assert_eq!(b2.status().accepted, 2);
         assert_eq!(b2.config().policy, "cplant24.nomax.all");
 
+        // Recovered ids are still taken.
+        assert!(matches!(
+            d2.submit_batched(&req(2, 60)),
+            Err(ServeError::DuplicateId { job }) if job.0 == 2
+        ));
         // The recovered sessions keep working and journaling: more
         // submissions, then a second crash and recovery.
         d2.submit_batched(&req(3, 60)).unwrap();

@@ -23,6 +23,13 @@
 //! release; trace subscribers receive JSONL lines through channels so
 //! slow readers never block the scheduling path (a disconnected or
 //! saturated subscriber is dropped, not waited on).
+//!
+//! The core is the only store of per-job state: ids, open records and
+//! finished records all live in the [`SteppedSim`] (and, after seal, in
+//! its [`Schedule`]). The session itself keeps counters and a fixed window
+//! of the newest [`TRACE_WINDOW`] decision-trace records, so its memory
+//! does not grow with the number of jobs it has seen beyond what the core
+//! needs.
 
 use crate::api::{
     schedule_fingerprint, AdvanceResponse, SealResponse, ServeError, StatusResponse, SubmitRequest,
@@ -42,7 +49,7 @@ use fairsched_sim::{
 };
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -58,7 +65,9 @@ pub struct SessionConfig {
     /// How simulated time advances.
     pub clock: ClockMode,
     /// Whether to emit trace effects (required for trace streaming and
-    /// live explain).
+    /// live explain). The session keeps only the newest [`TRACE_WINDOW`]
+    /// records, so live explain covers jobs whose wait began inside that
+    /// window; older ones get [`ServeError::ExplainWindowPassed`].
     pub traced: bool,
     /// Raises the floor fresh chunk/resubmission ids are minted from, so
     /// an online replay of a recorded trace reproduces the batch path's
@@ -85,6 +94,10 @@ impl Default for SessionConfig {
 
 /// Default subscriber channel depth (lines).
 const SUBSCRIBER_BUFFER: usize = 64 * 1024;
+
+/// Decision-trace records a traced session keeps for live explain: the
+/// newest this many. Older records are dropped as new ones arrive.
+pub const TRACE_WINDOW: usize = 4096;
 
 /// One attached trace reader: its channel, plus the count of lines the
 /// session had to drop on it. The counter outlives eviction from the
@@ -117,9 +130,13 @@ impl TraceSubscription {
 struct Inner {
     core: Option<SteppedSim>,
     clock: VirtualClock,
-    completed: Vec<JobRecord>,
-    submissions: HashMap<JobId, SubmitRequest>,
-    trace: Vec<TraceRecord>,
+    /// Submissions accepted so far.
+    accepted: u64,
+    /// The newest decision-trace records, at most [`TRACE_WINDOW`].
+    trace: VecDeque<TraceRecord>,
+    /// The time of the newest record dropped from `trace`: a wait that
+    /// began at or before it is no longer fully in the window.
+    evicted: Option<Time>,
     subscribers: Vec<Subscriber>,
     schedule: Option<Schedule>,
     steps: u64,
@@ -134,27 +151,39 @@ struct Inner {
 }
 
 impl Inner {
-    /// Folds one step's effects into the session: completed records and
-    /// trace records are kept, and each trace record's JSONL line is queued
-    /// on `lines` for the subscribers. Returns the (started, completed)
-    /// counts.
+    /// Folds one step's effects into the session: trace records enter the
+    /// window, and, while anyone subscribes, each one's JSONL line is
+    /// queued on `lines` for the subscribers. Returns the (started,
+    /// completed) counts.
     fn apply(&mut self, effects: Vec<Effect>, lines: &mut Vec<String>) -> (u64, u64) {
         let (mut started, mut completed) = (0, 0);
         for effect in effects {
             match effect {
                 Effect::Started { .. } => started += 1,
-                Effect::Completed { record } => {
-                    completed += 1;
-                    self.completed.push(record);
-                }
+                Effect::Completed { .. } => completed += 1,
                 Effect::Trace { record } => {
-                    lines.push(record.to_jsonl());
-                    self.trace.push(record);
+                    if !self.subscribers.is_empty() {
+                        lines.push(record.to_jsonl());
+                    }
+                    if self.trace.len() == TRACE_WINDOW {
+                        self.evicted = self.trace.pop_front().map(|old| old.at());
+                    }
+                    self.trace.push_back(record);
                 }
                 Effect::Admitted { .. } => {}
             }
         }
         (started, completed)
+    }
+
+    /// Finished records: the core's while it runs, the schedule's once
+    /// sealed.
+    fn records(&self) -> &[JobRecord] {
+        match (&self.core, &self.schedule) {
+            (Some(core), _) => core.records(),
+            (None, Some(schedule)) => &schedule.records,
+            (None, None) => &[],
+        }
     }
 }
 
@@ -208,9 +237,9 @@ impl Session {
             inner: Mutex::new(Inner {
                 core: Some(core),
                 clock: VirtualClock::new(cfg.clock),
-                completed: Vec::new(),
-                submissions: HashMap::new(),
-                trace: Vec::new(),
+                accepted: 0,
+                trace: VecDeque::new(),
+                evicted: None,
                 subscribers: Vec::new(),
                 schedule: None,
                 steps: 0,
@@ -336,12 +365,12 @@ impl Session {
                 granted,
             });
         }
-        if inner.submissions.contains_key(&id) {
+        let Inner { core, stream, .. } = &mut *inner;
+        let core = core.as_mut().expect("checked above");
+        if core.knows(id) {
             return Err(ServeError::DuplicateId { job: id });
         }
         let job = req.to_job();
-        let Inner { core, stream, .. } = &mut *inner;
-        let core = core.as_mut().expect("checked above");
         let effects = match core.step(SimEvent::Submit(job), stream) {
             Ok(effects) => effects,
             // The core's own past-frontier guard, in case a manual
@@ -357,7 +386,7 @@ impl Session {
             Err(e) => return Err(e.into()),
         };
         inner.steps += 1;
-        inner.submissions.insert(id, req.clone());
+        inner.accepted += 1;
         if let Some(journal) = inner.journal.as_mut() {
             match journal.append_submit(req) {
                 Ok(bytes) => metrics.journal_bytes.add(bytes),
@@ -541,8 +570,8 @@ impl Session {
             running,
             free,
             down,
-            accepted: inner.submissions.len() as u64,
-            completed: inner.completed.len() as u64,
+            accepted: inner.accepted,
+            completed: inner.records().len() as u64,
             next_event,
             sealed: inner.core.is_none(),
         }
@@ -550,16 +579,16 @@ impl Session {
 
     /// A finished submission's record, if it has completed.
     pub fn record_of(&self, id: JobId) -> Option<JobRecord> {
-        self.lock().completed.iter().find(|r| r.id == id).copied()
+        self.lock().records().iter().find(|r| r.id == id).copied()
     }
 
-    /// Explains a submission's wait *live*, against the decision trace
-    /// accumulated so far. Works for completed submissions and for ones
-    /// that have started but not finished (their record is synthesized
-    /// with `end = now`). Queued submissions have no start to explain
-    /// yet; `Ok(None)`.
+    /// Explains a submission's wait *live*, against the decision-trace
+    /// window. Works for completed submissions and for ones that have
+    /// started but not finished (the core's open record, with `end = now`).
+    /// Queued submissions have no start to explain yet; `Ok(None)`. A
+    /// wait that began before the window's oldest record is
+    /// [`ServeError::ExplainWindowPassed`], never a partial breakdown.
     pub fn explain(&self, id: JobId) -> Result<Option<WaitBreakdown>, ServeError> {
-        let inner = self.lock();
         if !self.cfg.traced {
             return Err(ServeError::BadRequest {
                 detail: "session runs without trace effects; start fairschedd \
@@ -567,37 +596,23 @@ impl Session {
                     .into(),
             });
         }
+        let mut inner = self.lock();
         let record = inner
-            .completed
+            .records()
             .iter()
             .find(|r| r.id == id)
             .copied()
-            .or_else(|| {
-                // Started but not finished: synthesize the record shape
-                // explain needs (only submit/start are read).
-                let core = inner.core.as_ref()?;
-                let start = core.start_of(id)?;
-                let req = inner.submissions.get(&id)?;
-                let now = core.now();
-                Some(JobRecord {
-                    id,
-                    origin: id,
-                    chunk_index: 0,
-                    user: fairsched_workload::job::UserId(req.user),
-                    group: fairsched_workload::job::GroupId(req.group),
-                    nodes: req.nodes,
-                    submit: req.submit,
-                    origin_submit: req.submit,
-                    start,
-                    end: now.max(start),
-                    estimate: req.estimate,
-                    killed: false,
-                    interrupted: false,
-                })
-            });
+            .or_else(|| inner.core.as_ref()?.open_record(id));
         let Some(record) = record else {
             return Ok(None);
         };
+        if let Some(evicted) = inner.evicted.filter(|&t| t >= record.submit) {
+            return Err(ServeError::ExplainWindowPassed {
+                job: id,
+                submit: record.submit,
+                evicted,
+            });
+        }
         // explain_wait reads only `records` from the schedule; the
         // integrals are irrelevant to a single job's wait decomposition.
         let view = Schedule {
@@ -613,7 +628,7 @@ impl Session {
             placement: None,
             queue_stats: Default::default(),
         };
-        Ok(explain_wait(&inner.trace, &view, id))
+        Ok(explain_wait(inner.trace.make_contiguous(), &view, id))
     }
 
     /// Where the session's scheduling time has gone so far.
@@ -758,6 +773,12 @@ mod tests {
         session.submit_batched(&req(1, 1, 0, 4, 100)).unwrap();
         let err = session.submit_batched(&req(1, 2, 5, 8, 60)).unwrap_err();
         assert!(matches!(err, ServeError::DuplicateId { job } if job == JobId(1)));
+        // Still a duplicate once the job has run and finished.
+        session.advance_to(500).unwrap();
+        assert_eq!(session.status().completed, 1);
+        let err = session.submit_batched(&req(1, 2, 600, 8, 60)).unwrap_err();
+        assert!(matches!(err, ServeError::DuplicateId { job } if job == JobId(1)));
+        assert_eq!(session.status().accepted, 1);
     }
 
     #[test]
@@ -980,6 +1001,113 @@ mod tests {
         assert_eq!(breakdown.submit, 10);
         assert_eq!(breakdown.start, 300);
         session.seal().unwrap();
+    }
+
+    /// Enough jobs on a small machine that the trace outgrows the window:
+    /// every job adds at least a start record and two queue samples.
+    fn window_filling_jobs() -> Vec<Job> {
+        let n = TRACE_WINDOW as u32 / 2;
+        (0..n)
+            .map(|i| {
+                let runtime = 10 + u64::from(i % 7) * 5;
+                Job::new(
+                    i + 1,
+                    i % 5 + 1,
+                    1,
+                    u64::from(i) * 20,
+                    i % 32 + 1,
+                    runtime,
+                    runtime,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_trace_window_bounds_memory_and_explains_recent_waits_exactly() {
+        let jobs = window_filling_jobs();
+        let cfg = PolicySpec::parse("easy.nomax").unwrap().sim_config(32);
+        let mut full = Vec::new();
+        let batch = simulate(&jobs, &cfg, &mut NO, SimOptions::new().trace(&mut full)).unwrap();
+        assert!(full.len() > TRACE_WINDOW, "{} records", full.len());
+
+        let session = manual_session("easy.nomax");
+        for (i, job) in jobs.iter().enumerate() {
+            session
+                .submit_batched(&SubmitRequest::from_job(job))
+                .unwrap();
+            if i % 100 == 99 {
+                session.advance_to(job.submit).unwrap();
+                assert!(session.lock().trace.len() <= TRACE_WINDOW);
+            }
+        }
+        // A running job explains from the core's open record.
+        session.advance_to(jobs.last().unwrap().submit).unwrap();
+        let (running, live) = jobs
+            .iter()
+            .rev()
+            .take(20)
+            .find_map(|job| {
+                let breakdown = session.explain(job.id).unwrap()?;
+                session
+                    .record_of(job.id)
+                    .is_none()
+                    .then_some((job.id, breakdown))
+            })
+            .expect("a recent job is running");
+        session.seal().unwrap();
+        assert!(session.lock().trace.len() <= TRACE_WINDOW);
+        assert_eq!(session.schedule().unwrap(), batch);
+
+        // Recent waits explain exactly as over the whole batch trace.
+        assert_eq!(session.explain(running).unwrap(), Some(live));
+        for job in &jobs[jobs.len() - 50..] {
+            assert_eq!(
+                session.explain(job.id).unwrap(),
+                explain_wait(&full, &batch, job.id),
+                "{}",
+                job.id
+            );
+        }
+        // An old wait is a typed error, never a partial breakdown.
+        match session.explain(jobs[0].id) {
+            Err(ServeError::ExplainWindowPassed {
+                job,
+                submit,
+                evicted,
+            }) => {
+                assert_eq!((job, submit), (jobs[0].id, 0));
+                assert!(evicted >= submit);
+            }
+            other => panic!("expected ExplainWindowPassed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn counters_and_records_read_the_same_before_and_after_seal() {
+        let session = manual_session("cplant24.nomax.all");
+        let jobs: Vec<Job> = (0..40u32)
+            .map(|i| Job::new(i + 1, i % 3 + 1, 1, u64::from(i) * 7, i % 32 + 1, 90, 120))
+            .collect();
+        for job in &jobs {
+            session
+                .submit_batched(&SubmitRequest::from_job(job))
+                .unwrap();
+        }
+        session.advance_to(1_000_000).unwrap();
+        let before = session.status();
+        assert_eq!((before.accepted, before.completed), (40, 40));
+        let records: Vec<_> = jobs.iter().map(|j| session.record_of(j.id)).collect();
+        assert!(records.iter().all(Option::is_some));
+        session.seal().unwrap();
+        let after = session.status();
+        assert_eq!(
+            (after.accepted, after.completed),
+            (before.accepted, before.completed)
+        );
+        let sealed: Vec<_> = jobs.iter().map(|j| session.record_of(j.id)).collect();
+        assert_eq!(sealed, records);
+        assert_eq!(session.record_of(JobId(999)), None);
     }
 
     #[test]

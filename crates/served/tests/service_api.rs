@@ -70,6 +70,52 @@ fn submit_status_advance_seal_over_http() {
     daemon.shutdown();
 }
 
+/// `GET path` on a fresh connection; returns the response body.
+fn get_body(daemon: &Daemon, path: &str) -> String {
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    let (_, body) = response.split_once("\r\n\r\n").expect("head ends");
+    body.to_string()
+}
+
+#[test]
+fn counters_and_job_records_read_the_same_before_and_after_seal() {
+    let mut daemon = manual_daemon("easy.nomax", 64);
+    let client = Client::new(daemon.addr());
+    for (id, submit) in [(1, 0), (2, 10), (3, 20)] {
+        client.submit(&req(id, id, submit, 48, 100)).unwrap();
+    }
+    client.advance(1_000).unwrap();
+    let before = client.status().unwrap();
+    assert_eq!((before.accepted, before.completed), (3, 3));
+    let paths = ["/v1/jobs/1", "/v1/jobs/2", "/v1/jobs/3", "/v1/jobs/4"];
+    let records: Vec<String> = paths.iter().map(|p| get_body(&daemon, p)).collect();
+    assert!(records[..3].iter().all(|r| r.contains("\"found\":true")));
+    assert!(records[3].contains("\"found\":false"));
+
+    client.seal().unwrap();
+    let after = client.status().unwrap();
+    assert!(after.sealed);
+    assert_eq!(
+        (after.accepted, after.completed),
+        (before.accepted, before.completed)
+    );
+    let sealed: Vec<String> = paths.iter().map(|p| get_body(&daemon, p)).collect();
+    assert_eq!(sealed, records);
+    client.shutdown().unwrap();
+    daemon.shutdown();
+}
+
 #[test]
 fn typed_rejections_cross_the_wire() {
     let mut daemon = manual_daemon("easy.nomax", 64);

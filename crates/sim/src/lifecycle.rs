@@ -61,6 +61,10 @@ pub(crate) struct Lifecycle {
     // Every submission id this run has registered: admitted trace jobs and
     // minted chunk/resubmission ids alike.
     ids: HashSet<JobId>,
+    // Trace jobs a lazily-admitting driver has announced but not admitted
+    // yet. They count as pending, so the run looks the same as one with
+    // every job admitted up front.
+    expected: usize,
     // Set when a job crosses `MAX_SUBMISSIONS_PER_ORIGIN`; surfaced as a
     // typed error by the simulator's next invariant check instead of
     // looping forever.
@@ -77,6 +81,7 @@ impl Lifecycle {
             chain_states: Vec::new(),
             next_id: 1,
             ids: HashSet::new(),
+            expected: 0,
             diverged: None,
         }
     }
@@ -98,6 +103,7 @@ impl Lifecycle {
     /// the head of a runtime-limited chain.
     pub(crate) fn admit(&mut self, cfg: &SimConfig, job: &Job, events: &mut EventQueue) {
         self.ids.insert(job.id);
+        self.expected = self.expected.saturating_sub(1);
         let chained = cfg
             .runtime_limit
             .map(|rl| job.estimate > rl.limit)
@@ -296,9 +302,18 @@ impl Lifecycle {
         self.next_id = self.next_id.max(floor);
     }
 
-    /// Whether any submission is still waiting to arrive.
+    /// Announces `jobs` trace jobs that will be admitted later, each as
+    /// the clock reaches its submit time. Until admitted they count as
+    /// pending, so the fault timeline keeps running through quiet gaps
+    /// exactly as it does when every job is admitted up front.
+    pub(crate) fn expect(&mut self, jobs: usize) {
+        self.expected += jobs;
+    }
+
+    /// Whether any submission is still waiting to arrive (or to be
+    /// admitted, see [`Lifecycle::expect`]).
     pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        !self.pending.is_empty() || self.expected > 0
     }
 
     /// The submitting user of a still-pending submission.

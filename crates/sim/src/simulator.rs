@@ -656,9 +656,9 @@ impl<'a> SimOptions<'a> {
 /// and mid-run invariant violations come back as a typed [`SimError`]
 /// instead of a panic.
 ///
-/// This is a thin driver over the stepped core: it submits every trace job
-/// into a [`SteppedSim`](crate::step::SteppedSim), grants the virtual
-/// clock one event batch at a time via
+/// This is a thin driver over the stepped core: it submits each trace job
+/// into a [`SteppedSim`](crate::step::SteppedSim) when the clock reaches
+/// its submit time, grants the virtual clock one event batch at a time via
 /// [`SimEvent::AdvanceTo`](crate::step::SimEvent), and forwards
 /// [`Effect::Trace`](crate::step::Effect) records to the caller's buffer.
 /// Byte-exactness with the pre-step-core driver is pinned by the 34 FNV
@@ -707,10 +707,22 @@ pub fn simulate(
     if let Some(cancel) = opts.cancel {
         core.set_cancel(cancel);
     }
-    for job in trace {
-        core.step(SimEvent::Submit(job.clone()), observer)?;
-    }
-    while let Some(at) = core.next_wakeup() {
+    // Admit each job only when the clock reaches its submit time — the
+    // submit → advance sequence an online session runs — so the core never
+    // holds the whole trace as pending submissions at once.
+    core.expect_trace(trace);
+    let mut due: Vec<&Job> = trace.iter().collect();
+    due.sort_by_key(|job| job.submit);
+    let mut due = due.into_iter().peekable();
+    loop {
+        let at = match (core.next_wakeup(), due.peek().map(|job| job.submit)) {
+            (Some(wake), Some(submit)) => wake.min(submit),
+            (Some(at), None) | (None, Some(at)) => at,
+            (None, None) => break,
+        };
+        while let Some(job) = due.next_if(|job| job.submit <= at) {
+            core.step(SimEvent::Submit(job.clone()), observer)?;
+        }
         for effect in core.step(SimEvent::AdvanceTo(at), observer)? {
             if let (Effect::Trace { record }, Some(records)) = (effect, records.as_deref_mut()) {
                 records.push(record);
@@ -772,7 +784,12 @@ impl Sim {
     /// Runs [`validate_job`] against this machine and the ids this run
     /// already holds. Callers check before [`Sim::admit`].
     pub(crate) fn validate(&self, job: &Job) -> Result<(), SimError> {
-        validate_job(job, self.cfg.nodes, self.lifecycle.knows(job.id))
+        validate_job(job, self.cfg.nodes, self.knows(job.id))
+    }
+
+    /// Whether `id` already names a submission of this run.
+    pub(crate) fn knows(&self, id: JobId) -> bool {
+        self.lifecycle.knows(id)
     }
 
     /// Registers an original trace job: either a standalone submission or
@@ -906,6 +923,42 @@ impl Sim {
             .rev()
             .find(|r| r.id == id)
             .map(|r| r.start)
+    }
+
+    /// Finished submissions' records so far, in completion order.
+    pub(crate) fn records(&self) -> &[JobRecord] {
+        &self.records
+    }
+
+    /// The record submission `id` would get if it ended now, while it
+    /// runs: every field is final except `end` (now) and the kill and
+    /// interrupt flags (false). `None` unless `id` is running.
+    pub(crate) fn open_record(&self, id: JobId) -> Option<JobRecord> {
+        let open = self.open.get(&id)?;
+        let start = open.start?;
+        Some(JobRecord {
+            id,
+            origin: open.pending.origin,
+            chunk_index: open.pending.chunk_index,
+            user: open.pending.user,
+            group: open.pending.group,
+            nodes: open.pending.nodes,
+            submit: open.submit,
+            origin_submit: open.pending.origin_submit,
+            start,
+            end: self.now,
+            estimate: open.pending.estimate,
+            killed: false,
+            interrupted: false,
+        })
+    }
+
+    /// Prepares for a trace the driver will admit lazily, each job once
+    /// the clock reaches its submit time: presizes the record store and
+    /// counts the jobs as expected (see [`Lifecycle::expect`]).
+    pub(crate) fn expect(&mut self, jobs: usize) {
+        self.records.reserve(jobs);
+        self.lifecycle.expect(jobs);
     }
 
     /// Always-on invariant observer: no node is ever double-booked, and the

@@ -7,10 +7,10 @@
 //! every [`TraceRecord`] the run would have streamed, which is where
 //! reservation makes/shifts surface). Determinism is unchanged: equal
 //! event sequences produce equal effect sequences, and the batch
-//! [`simulate`](crate::simulator::simulate) driver — submit everything,
-//! then grant time one event batch at a time — is byte-identical to the
-//! historical monolithic loop (pinned by the FNV goldens in
-//! `tests/engine_equivalence.rs`).
+//! [`simulate`](crate::simulator::simulate) driver — submit each job as
+//! the clock reaches it, granting time one event batch at a time — is
+//! byte-identical to the historical monolithic loop (pinned by the FNV
+//! goldens in `tests/engine_equivalence.rs`).
 //!
 //! Because the event queue orders events by `(time, kind, job id)`
 //! regardless of insertion order, a *late* submission — one fed in after
@@ -33,8 +33,8 @@ use fairsched_workload::time::Time;
 pub enum SimEvent {
     /// A job enters the system at its own `submit` timestamp. Valid any
     /// time the timestamp is at or after the simulated-time frontier —
-    /// batch drivers submit everything up front, online drivers submit as
-    /// requests arrive.
+    /// the batch driver submits each job when the clock reaches it, online
+    /// drivers submit as requests arrive.
     Submit(Job),
     /// Grant simulated time: process every pending event with
     /// `time <= horizon`. The frontier (`now`) advances only to the last
@@ -193,9 +193,35 @@ impl SteppedSim {
         }
     }
 
-    /// The start time of a submission that has already started, if any.
-    pub fn start_of(&self, id: JobId) -> Option<Time> {
-        self.sim.start_time_of(id)
+    /// Whether `id` already names a submission of this run: an accepted
+    /// submission, or a chunk or retry id the core minted.
+    pub fn knows(&self, id: JobId) -> bool {
+        self.sim.knows(id)
+    }
+
+    /// Finished submissions' records so far, in completion order: exactly
+    /// the records [`SteppedSim::finish`] returns, before its sort by id.
+    pub fn records(&self) -> &[JobRecord] {
+        self.sim.records()
+    }
+
+    /// A running submission's record as if it ended now (`end` is the
+    /// frontier; the kill and interrupt flags are false). `None` while it
+    /// is queued or pending, and once it has finished (its final record is
+    /// then in [`SteppedSim::records`]).
+    pub fn open_record(&self, id: JobId) -> Option<JobRecord> {
+        self.sim.open_record(id)
+    }
+
+    /// Announces a whole trace the driver will submit lazily, each job when
+    /// the clock reaches its submit time: seeds the id floor from the
+    /// trace's largest id and presizes the record store, so the run
+    /// matches one with every job submitted up front.
+    pub fn expect_trace(&mut self, trace: &[Job]) {
+        if let Some(max) = trace.iter().map(|j| j.id.0).max() {
+            self.sim.reserve_ids(max.saturating_add(1));
+        }
+        self.sim.expect(trace.len());
     }
 
     /// Whether every accepted submission has been played out.

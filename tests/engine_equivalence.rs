@@ -23,7 +23,7 @@ use fairsched_core::policy::PolicySpec;
 use fairsched_obs::TraceRecord;
 use fairsched_sim::{
     simulate, EngineKind, FaultConfig, KillPolicy, NullObserver, QueueOrder, ResiliencePolicy,
-    Schedule, SimConfig, SimOptions,
+    RuntimeLimit, Schedule, SimConfig, SimOptions,
 };
 use fairsched_workload::job::Job;
 use fairsched_workload::synthetic::random_trace;
@@ -536,5 +536,47 @@ fn decision_traces_match_goldens() {
             "decision trace for {label} diverged from its golden \
              (0x{digest:016x} != 0x{golden:016x})"
         );
+    }
+}
+
+/// `simulate` admits each job only when the clock reaches its submit time.
+/// A trace listed out of submit order, with its largest id first and long
+/// jobs split into 24 h chunks (whose fresh ids are minted above the whole
+/// trace's largest id), must still yield the schedule and decision trace
+/// pinned when every job was submitted before the first event. The second
+/// case adds node failures and crashes, whose timeline must run on through
+/// gaps where no job has been admitted yet.
+#[test]
+fn lazy_admission_matches_up_front_admission() {
+    let mut trace = trace_a();
+    // A fixed permutation: 83 is coprime to the trace length.
+    let n = trace.len();
+    trace = (0..n).map(|i| trace[i * 83 % n].clone()).collect();
+    let largest = (0..n).max_by_key(|&i| trace[i].id).expect("non-empty");
+    trace.swap(0, largest);
+    assert!(trace.windows(2).any(|w| w[0].submit > w[1].submit));
+
+    let mut chunked = PolicySpec::by_id("cplant24.72max.all")
+        .unwrap()
+        .sim_config(NODES);
+    chunked.runtime_limit = Some(RuntimeLimit { limit: 24 * 3600 });
+    let mut faulted = chunked.clone();
+    faulted.faults = faults_nodes_and_crashes(ResiliencePolicy::ChunkResume);
+    let pinned = [
+        ("chunked", chunked, (0x1815556f90b0c69d, 0x8e84fc8ef3ef54d5)),
+        (
+            "chunked+faults",
+            faulted,
+            (0xca1c69c2f8c91869, 0x34566985cd15f729),
+        ),
+    ];
+    for (label, cfg, expected) in pinned {
+        let schedule = run(&trace, &cfg);
+        assert!(schedule.records.len() > n, "{label}: no job was chunked");
+        let got = (
+            fairsched_served::api::schedule_fingerprint(&schedule),
+            digest_trace(&trace, &cfg),
+        );
+        assert_eq!(got, expected, "{label}: 0x{:016x}, 0x{:016x}", got.0, got.1);
     }
 }
